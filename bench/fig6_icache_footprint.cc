@@ -130,7 +130,7 @@ main(int argc, char **argv)
     // replay.oracleRatios in verify mode.
     size_t mismatches = 0;
     const std::vector<double> *oracle_curve = nullptr;
-    if (mode == MrcMode::ShardedOracle)
+    if (mode == MrcMode::Oracle)
         oracle_curve = &replay.ratios;
     else if (mode == MrcMode::Verify)
         oracle_curve = &replay.oracleRatios;

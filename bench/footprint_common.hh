@@ -92,7 +92,7 @@ inline std::vector<double>
 liveSweep(const WorkloadEntry &entry, SweepKind kind, double scale)
 {
     WorkloadPtr w = entry.make(scale);
-    if (benchOptions().mrcMode == MrcMode::ShardedOracle) {
+    if (benchOptions().mrcMode == MrcMode::Oracle) {
         FootprintSweep sweep(paperSweepSizesKb());
         runThroughSink(*w, sweep);
         return sweep.missRatios(kind);

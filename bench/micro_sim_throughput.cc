@@ -570,7 +570,9 @@ BENCHMARK(BM_ReplaySimCpuBatch);
  * The paper's Section 5.4 capacity sweep as a replay sink: ten cache
  * rungs x three streams per op make it the heaviest sink in any
  * replay, which is exactly what the batch path's line-id precompute,
- * set-MRU repeat memos and rung-parallel fan-out attack.
+ * run-length compression and set-MRU repeat memos attack. The sweep
+ * is the serial set-associative oracle; the default MRC path is the
+ * stack-distance profile of BM_MrcSinglePass.
  */
 void
 BM_ReplaySweepPerOp(benchmark::State &state)
@@ -588,29 +590,13 @@ BM_ReplaySweepBatch(benchmark::State &state)
 }
 BENCHMARK(BM_ReplaySweepBatch);
 
-// The threaded rows measure wall time: CPU-time-based items/s would
-// count only the calling thread while the pool does the work,
-// overstating throughput on every multi-core host.
-void
-BM_ReplaySweepParallel(benchmark::State &state)
-{
-    unsigned workers = replayWorkers(0);
-    replayRows(state,
-               [workers] {
-                   return FootprintSweep(paperSweepSizesKb(), 8, 64,
-                                         workers);
-               },
-               false);
-}
-BENCHMARK(BM_ReplaySweepParallel)->UseRealTime();
-
 /**
  * The single-pass replacement for the whole ladder: one decode pass
  * into the Mattson stack-distance profile, then every rung of the
  * fig6 ladder is a histogram walk (sim/stack_distance.hh). Runs
- * strictly serial (workers = 1) and is still expected to beat the
- * rung-parallel sharded sweep above on wall clock — that is the
- * tentpole claim, and the perf gate pins both rows.
+ * strictly serial (workers = 1) and is expected to beat the serial
+ * oracle sweep of BM_ReplaySweepBatch on wall clock; the perf gate
+ * pins both rows.
  */
 void
 BM_MrcSinglePass(benchmark::State &state)
@@ -630,26 +616,9 @@ BM_MrcSinglePass(benchmark::State &state)
 }
 BENCHMARK(BM_MrcSinglePass)->UseRealTime();
 
-/**
- * The sweep's batch path in isolation — no file decode — with the
- * full worker fan-out, so the set-range rung splitting shows up
- * directly: without it the 4-8 MB rungs serialize the ladder's tail
- * behind a single worker.
- */
-void
-BM_SweepRungSplit(benchmark::State &state)
-{
-    auto ops = dispatchStream(64 * 1024);
-    unsigned workers = replayWorkers(benchJobs());
-    for (auto _ : state) {
-        FootprintSweep sweep(paperSweepSizesKb(), 8, 64, workers);
-        dispatchBatched(sweep, ops);
-        benchmark::DoNotOptimize(sweep.instructions());
-    }
-    state.SetItemsProcessed(
-        static_cast<int64_t>(state.iterations() * ops.size()));
-}
-BENCHMARK(BM_SweepRungSplit)->UseRealTime();
+// The threaded rows measure wall time: CPU-time-based items/s would
+// count only the calling thread while the pool does the work,
+// overstating throughput on every multi-core host.
 
 /**
  * The multi-config replay runner on the shared pool: one trace, four

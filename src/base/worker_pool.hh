@@ -3,9 +3,9 @@
  * Persistent worker pool with caller-participating completion waits.
  *
  * Every parallel path in the toolkit needs the same machinery:
- * TeeSink fans one block out to N children, FootprintSweep fans one
- * block out to rung-stream shards, and the replay runners fan N
- * independent trace replays out over the machine. Each submits a task
+ * TeeSink fans one block out to N children, StackDistanceProfile fans
+ * one block out to its three reference streams, and the replay
+ * runners fan N independent trace replays out over the machine. Each submits a task
  * of `count` independent indices; pool threads and the waiting caller
  * claim indices from a shared atomic counter, so the submitter never
  * idles while work remains and a pool of zero threads degenerates to
@@ -27,8 +27,8 @@
  *
  * Nesting is deadlock-free by construction: wait() always helps with
  * the awaited ticket's own indices before sleeping, so a pool thread
- * that submits a sub-task from inside a job (a capacity sweep running
- * inside a pooled replay) makes progress on that sub-task itself and
+ * that submits a sub-task from inside a job (a stack-distance profile
+ * running inside a pooled replay) makes progress on that sub-task itself and
  * only sleeps once every index is claimed by threads that are
  * actively executing them.
  */

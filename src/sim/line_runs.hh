@@ -76,7 +76,7 @@ class LineRunStreams
     const std::vector<LineRun> &data() const { return dataRuns; }
     const std::vector<LineRun> &unified() const { return uniRuns; }
 
-    /** Stream by FootprintSweep's index convention (0/1/2 = i/d/u). */
+    /** Stream by index: 0/1/2 = instruction/data/unified. */
     const std::vector<LineRun> &
     stream(size_t index) const
     {

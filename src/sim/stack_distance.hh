@@ -16,7 +16,7 @@
  * histogram walk: K rungs cost one profile pass instead of K cache
  * simulations.
  *
- * The batch path reuses the sweep's shared block machinery
+ * The batch path shares its block machinery with the sweep
  * (sim/line_runs.hh): line ids are precomputed with the
  * AVX2-dispatched shift and each stream is run-length compressed
  * once, so only run heads reach the tree — the count-1 tail of a run
@@ -30,7 +30,7 @@
  * both ways, since a loop slightly wider than the capacity thrashes
  * fully-associative LRU where an uneven set mapping retains lines.
  * The replay layer's Verify mode (tracefile/replay.hh) measures that
- * divergence against the sharded FootprintSweep oracle, and the
+ * divergence against the serial FootprintSweep oracle, and the
  * fully-associative equivalence is enforced bit-exactly by tests.
  */
 

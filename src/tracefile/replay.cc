@@ -79,7 +79,7 @@ toString(MrcMode mode)
     switch (mode) {
       case MrcMode::StackDistance:
         return "stack";
-      case MrcMode::ShardedOracle:
+      case MrcMode::Oracle:
         return "oracle";
       default:
         return "verify";
@@ -92,7 +92,7 @@ parseMrcMode(const std::string &name, MrcMode &out)
     if (name == "stack") {
         out = MrcMode::StackDistance;
     } else if (name == "oracle") {
-        out = MrcMode::ShardedOracle;
+        out = MrcMode::Oracle;
     } else if (name == "verify") {
         out = MrcMode::Verify;
     } else {
@@ -110,11 +110,12 @@ replaySweepLadder(const std::string &trace_path, SweepKind kind,
     if (sizes_kb.empty())
         return result;
 
-    // One decode pass total in every mode: the sink(s) spread their
-    // own internal work over the shared pool per block, so a single
-    // TraceReader feeds the whole ladder instead of each worker
-    // re-decoding the trace for its share. The worker request is
-    // resolved exactly once, here, and handed down as executor caps.
+    // One decode pass total in every mode: the stack-distance profile
+    // spreads its per-stream work over the shared pool per block, so
+    // a single TraceReader feeds the whole ladder instead of each
+    // worker re-decoding the trace for its share. The worker request
+    // is resolved exactly once, here, and handed down as the profile's
+    // executor cap; the oracle sweep walks serially.
     unsigned workers = replayWorkers(threads);
     unsigned sink_workers = workers > 1 ? workers : 0;
     switch (mode) {
@@ -125,8 +126,8 @@ replaySweepLadder(const std::string &trace_path, SweepKind kind,
         result.ratios = profile.missRatios(kind, sizes_kb);
         break;
       }
-      case MrcMode::ShardedOracle: {
-        FootprintSweep sweep(sizes_kb, assoc, line_bytes, sink_workers);
+      case MrcMode::Oracle: {
+        FootprintSweep sweep(sizes_kb, assoc, line_bytes);
         TraceReader reader(trace_path);
         reader.replayInto(sweep);
         result.ratios = sweep.missRatios(kind);
@@ -136,9 +137,9 @@ replaySweepLadder(const std::string &trace_path, SweepKind kind,
         // One decode, two sinks: a synchronous tee delivers every
         // block to both the profile and the sweep, so the comparison
         // can never be skewed by two decodes seeing different chunk
-        // boundaries. The sinks keep their internal parallelism.
+        // boundaries. The profile keeps its per-stream parallelism.
         StackDistanceProfile profile(line_bytes, sink_workers);
-        FootprintSweep sweep(sizes_kb, assoc, line_bytes, sink_workers);
+        FootprintSweep sweep(sizes_kb, assoc, line_bytes);
         TeeSink tee(0);
         tee.addSink(&profile);
         tee.addSink(&sweep);
@@ -154,29 +155,6 @@ replaySweepLadder(const std::string &trace_path, SweepKind kind,
       }
     }
     return result;
-}
-
-std::vector<double>
-replaySweepLadder(const std::string &trace_path, SweepKind kind,
-                  const std::vector<uint32_t> &sizes_kb, unsigned threads,
-                  uint32_t assoc, uint32_t line_bytes)
-{
-    if (sizes_kb.empty())
-        return {};
-
-    // One decode pass total: the sweep itself spreads its rung-stream
-    // shards over the shared worker pool per block, so a single
-    // TraceReader feeds every rung instead of each worker re-decoding
-    // the trace for its share of the ladder. The rungs' caches are
-    // independent either way, so every ratio stays bit-identical to a
-    // sequential sweep. The worker request is resolved exactly once,
-    // here, and handed to the sweep as its executor cap.
-    unsigned workers = replayWorkers(threads);
-    FootprintSweep sweep(sizes_kb, assoc, line_bytes,
-                         workers > 1 ? workers : 0);
-    TraceReader reader(trace_path);
-    reader.replayInto(sweep);
-    return sweep.missRatios(kind);
 }
 
 std::vector<CpuReport>

@@ -63,13 +63,13 @@ std::vector<CpuReport> replayOnConfigs(
  * StackDistance is the primary path: one decode pass feeds one
  * Mattson reuse-distance profile and the whole curve — any ladder —
  * falls out of the distance histogram (fully-associative LRU;
- * sim/stack_distance.hh). ShardedOracle is the validation path: the
+ * sim/stack_distance.hh). Oracle is the validation path: the
  * set-associative FootprintSweep, bit-exact for the paper's 8-way
- * rungs, at the cost of one tag walk per rung. Verify runs both over
- * a single decode pass and reports the maximum divergence between
- * the curves.
+ * rungs, at the cost of one serial tag walk per rung. Verify runs
+ * both over a single decode pass and reports the maximum divergence
+ * between the curves.
  */
-enum class MrcMode : uint8_t { StackDistance, ShardedOracle, Verify };
+enum class MrcMode : uint8_t { StackDistance, Oracle, Verify };
 
 /** Mode name as the CLI flags spell it: stack / oracle / verify. */
 const char *toString(MrcMode mode);
@@ -82,8 +82,8 @@ bool parseMrcMode(const std::string &name, MrcMode &out);
 
 /**
  * Documented divergence bound between the fully-associative
- * stack-distance curve and the 8-way sharded oracle on the paper's
- * ladder. The gap runs both ways: the stack curve avoids the
+ * stack-distance curve and the 8-way set-associative oracle on the
+ * paper's ladder. The gap runs both ways: the stack curve avoids the
  * oracle's conflict misses, but a loop slightly wider than a rung
  * thrashes fully-associative LRU where an uneven set mapping still
  * retains lines — so neither curve dominates. On every workload
@@ -100,7 +100,7 @@ struct MrcResult
     /**
      * Miss ratio per capacity: the stack-distance curve in
      * StackDistance and Verify modes, the set-associative sweep's in
-     * ShardedOracle mode.
+     * Oracle mode.
      */
     std::vector<double> ratios;
     /** The oracle's curve — filled in Verify mode only. */
@@ -112,14 +112,16 @@ struct MrcResult
 /**
  * Replay one trace across a cache-capacity ladder in the selected
  * MrcMode: one decode pass in every mode (Verify tees the decoded
- * blocks into both sinks), with the sinks spreading their internal
- * work over the shared pool under the worker cap.
+ * blocks into both sinks). The stack-distance profile spreads its
+ * three streams over the shared pool under the worker cap; the
+ * oracle sweep always walks serially.
  *
  * @param trace_path Captured trace.
  * @param kind Which reference stream to measure.
  * @param sizes_kb Capacity ladder in KB.
  * @param mode Curve computation path (see MrcMode).
- * @param threads Worker cap (0 → hardware threads).
+ * @param threads Worker cap for the stack-distance profile
+ *        (0 → hardware threads).
  * @param assoc Oracle associativity (paper: 8); the stack-distance
  *        curve is fully associative by construction.
  * @param line_bytes Line size (paper: 64).
@@ -130,26 +132,6 @@ MrcResult replaySweepLadder(const std::string &trace_path,
                             MrcMode mode, unsigned threads = 0,
                             uint32_t assoc = 8,
                             uint32_t line_bytes = 64);
-
-/**
- * Back-compat ladder replay: the ShardedOracle path — one
- * multi-capacity FootprintSweep fed by one decode pass, rung-stream
- * shards spread over the shared pool — returning just the curve.
- * Identical to replaySweepLadder(..., MrcMode::ShardedOracle).ratios.
- *
- * @param trace_path Captured trace.
- * @param kind Which reference stream to measure.
- * @param sizes_kb Capacity ladder in KB.
- * @param threads Worker cap (0 → hardware threads).
- * @param assoc Associativity of every rung (paper: 8).
- * @param line_bytes Line size (paper: 64).
- */
-std::vector<double> replaySweepLadder(const std::string &trace_path,
-                                      SweepKind kind,
-                                      const std::vector<uint32_t> &sizes_kb,
-                                      unsigned threads = 0,
-                                      uint32_t assoc = 8,
-                                      uint32_t line_bytes = 64);
 
 /**
  * Replay many traces on one machine configuration, in parallel.

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
 #include <vector>
 
 #include "base/rng.hh"
@@ -130,6 +131,30 @@ streamingStream(size_t count)
 }
 
 /**
+ * A set-conflict stream: every fetch and every load/store hits one of
+ * a dozen lines spaced 256 KB apart, so they all share one set in
+ * every cache of 2 MB or less and overflow its 8 ways. Random
+ * revisits build the A,B,A patterns and the evictions under which a
+ * stale set-MRU repeat memo would credit a hit the per-op walk
+ * misses, or leave a line's LRU age wrong.
+ */
+std::vector<MicroOp>
+conflictStream(size_t count)
+{
+    Rng rng(47);
+    std::vector<MicroOp> ops(count);
+    constexpr uint64_t kStride = 256 * 1024;
+    for (size_t i = 0; i < ops.size(); ++i) {
+        MicroOp &op = ops[i];
+        op.pc = 0x400000 + rng.nextBelow(10) * kStride;
+        op.kind = rng.nextBool(0.3) ? OpKind::Store : OpKind::Load;
+        op.memAddr = 0x10000000 + rng.nextBelow(12) * kStride;
+        op.memSize = 8;
+    }
+    return ops;
+}
+
+/**
  * Feed `ops` to `sink` in consumeBatch blocks of `block` ops, packed
  * through a reused SoA OpBlock exactly as the emitters deliver them.
  */
@@ -231,21 +256,39 @@ TEST(BatchDispatch, SimCpuBitIdenticalOnStreamingPattern)
 
 TEST(BatchDispatch, FootprintSweepCurvesMatch)
 {
-    auto ops = syntheticStream(kStreamOps);
-    std::vector<uint32_t> sizes{16, 64, 256, 1024};
-    FootprintSweep per_op(sizes);
-    feedPerOp(per_op, ops);
-    for (size_t block : kBlockSizes) {
-        SCOPED_TRACE("block " + std::to_string(block));
-        FootprintSweep batched(sizes);
-        feedBlocked(batched, ops, block);
-        EXPECT_EQ(batched.instructions(), per_op.instructions());
-        for (auto kind : {SweepKind::Instruction, SweepKind::Data,
-                          SweepKind::Unified}) {
-            auto base = per_op.missRatios(kind);
-            auto got = batched.missRatios(kind);
-            for (size_t i = 0; i < sizes.size(); ++i)
-                EXPECT_EQ(got[i], base[i]) << sizes[i] << " KB";
+    // The batch path (RLE'd runs, set-MRU repeat memos) must stay
+    // bit-identical to the per-op reference on the random pattern and
+    // on the adversarial streaming and set-conflict patterns that
+    // hammer the memos, across a short ladder, the full paper ladder
+    // up to the 8192 KB rung, and 48/96 KB rungs whose 96/192 sets
+    // are not powers of two (modulo set indexing).
+    const std::vector<std::vector<uint32_t>> ladders{
+        {16, 64, 256, 1024}, paperSweepSizesKb(), {48, 96}};
+    for (int pattern = 0; pattern < 3; ++pattern) {
+        SCOPED_TRACE(pattern == 0   ? "synthetic"
+                     : pattern == 1 ? "streaming"
+                                    : "conflict");
+        auto ops = pattern == 0   ? syntheticStream(kStreamOps)
+                   : pattern == 1 ? streamingStream(kStreamOps)
+                                  : conflictStream(kStreamOps);
+        for (const auto &sizes : ladders) {
+            SCOPED_TRACE(std::to_string(sizes.size()) + " rungs from " +
+                         std::to_string(sizes.front()) + " KB");
+            FootprintSweep per_op(sizes);
+            feedPerOp(per_op, ops);
+            for (size_t block : kBlockSizes) {
+                SCOPED_TRACE("block " + std::to_string(block));
+                FootprintSweep batched(sizes);
+                feedBlocked(batched, ops, block);
+                EXPECT_EQ(batched.instructions(), per_op.instructions());
+                for (auto kind : {SweepKind::Instruction, SweepKind::Data,
+                                  SweepKind::Unified}) {
+                    auto base = per_op.missRatios(kind);
+                    auto got = batched.missRatios(kind);
+                    for (size_t i = 0; i < sizes.size(); ++i)
+                        EXPECT_EQ(got[i], base[i]) << sizes[i] << " KB";
+                }
+            }
         }
     }
 }
@@ -426,127 +469,41 @@ TEST(BatchDispatch, DrainIsIdempotentAndPerOpSettlesInFlight)
     expectOpsEqual(b.trace(), expect);
 }
 
-TEST(BatchDispatch, FootprintSweepParallelMatchesScalar)
-{
-    // The rung-parallel batch path must stay bit-identical to both
-    // the scalar batch path and the per-op reference, on the random
-    // pattern and on the adversarial streaming pattern that hammers
-    // the set-MRU repeat memos.
-    std::vector<uint32_t> sizes{16, 64, 256, 1024};
-    for (bool streaming : {false, true}) {
-        SCOPED_TRACE(streaming ? "streaming" : "synthetic");
-        auto ops = streaming ? streamingStream(kStreamOps)
-                             : syntheticStream(kStreamOps);
-        FootprintSweep per_op(sizes);
-        feedPerOp(per_op, ops);
-        for (size_t block : kBlockSizes) {
-            SCOPED_TRACE("block " + std::to_string(block));
-            FootprintSweep scalar(sizes);
-            FootprintSweep parallel(sizes, 8, 64, /*workers=*/3);
-            feedBlocked(scalar, ops, block);
-            feedBlocked(parallel, ops, block);
-            EXPECT_EQ(scalar.instructions(), per_op.instructions());
-            EXPECT_EQ(parallel.instructions(), per_op.instructions());
-            for (auto kind : {SweepKind::Instruction, SweepKind::Data,
-                              SweepKind::Unified}) {
-                auto base = per_op.missRatios(kind);
-                auto scalar_got = scalar.missRatios(kind);
-                auto parallel_got = parallel.missRatios(kind);
-                for (size_t i = 0; i < sizes.size(); ++i) {
-                    EXPECT_EQ(scalar_got[i], base[i]) << sizes[i] << " KB";
-                    EXPECT_EQ(parallel_got[i], base[i])
-                        << sizes[i] << " KB";
-                }
-            }
-        }
-    }
-}
-
 TEST(BatchDispatch, FootprintSweepSurvivesMixedDelivery)
 {
     // Alternating batch and per-op delivery: the per-op path must
     // forget the repeat memos a preceding batch built, or the skipped
     // recency updates would corrupt later counts.
-    auto ops = streamingStream(kStreamOps);
     std::vector<uint32_t> sizes{16, 128};
-    FootprintSweep per_op(sizes);
-    feedPerOp(per_op, ops);
-    FootprintSweep mixed(sizes, 8, 64, /*workers=*/2);
-    OpBlock buf(64);
-    for (size_t i = 0; i < ops.size();) {
-        if ((i / 64) % 3 == 2) {
-            mixed.consume(ops[i]);
-            ++i;
-            continue;
-        }
-        size_t n = std::min<size_t>(64, ops.size() - i);
-        buf.clear();
-        for (size_t j = 0; j < n; ++j)
-            buf.push(ops[i + j]);
-        mixed.consumeBlock(buf);
-        i += n;
-    }
-    EXPECT_EQ(mixed.instructions(), per_op.instructions());
-    for (auto kind : {SweepKind::Instruction, SweepKind::Data,
-                      SweepKind::Unified}) {
-        auto base = per_op.missRatios(kind);
-        auto got = mixed.missRatios(kind);
-        for (size_t i = 0; i < sizes.size(); ++i)
-            EXPECT_EQ(got[i], base[i]) << sizes[i] << " KB";
-    }
-}
-
-TEST(SweepRungSplit, FullLadderMatchesScalarAcrossBlockSizes)
-{
-    // The set-range rung splitting targets the ladder's big-rung tail,
-    // so exercise the full paper ladder up to the 8192 KB rung with a
-    // worker cap high enough to hit the maximum split width, at block
-    // sizes 1 / 7 / 4096, on both reference patterns. Every count
-    // must stay bit-identical to the scalar (workers = 0) walk: the
-    // shards touch disjoint set ranges, carry private recency clocks
-    // and merge deterministically at the rung join.
-    auto ladder = paperSweepSizesKb();
-    for (bool streaming : {false, true}) {
-        SCOPED_TRACE(streaming ? "streaming" : "synthetic");
-        auto ops = streaming ? streamingStream(kStreamOps)
-                             : syntheticStream(kStreamOps);
-        for (size_t block : kBlockSizes) {
-            SCOPED_TRACE("block " + std::to_string(block));
-            FootprintSweep scalar(ladder);
-            FootprintSweep split(ladder, 8, 64, /*workers=*/8);
-            feedBlocked(scalar, ops, block);
-            feedBlocked(split, ops, block);
-            EXPECT_EQ(split.instructions(), scalar.instructions());
-            for (auto kind : {SweepKind::Instruction, SweepKind::Data,
-                              SweepKind::Unified}) {
-                auto base = scalar.missRatios(kind);
-                auto got = split.missRatios(kind);
-                for (size_t i = 0; i < ladder.size(); ++i)
-                    EXPECT_EQ(got[i], base[i]) << ladder[i] << " KB";
+    for (bool conflict : {false, true}) {
+        SCOPED_TRACE(conflict ? "conflict" : "streaming");
+        auto ops = conflict ? conflictStream(kStreamOps)
+                            : streamingStream(kStreamOps);
+        FootprintSweep per_op(sizes);
+        feedPerOp(per_op, ops);
+        FootprintSweep mixed(sizes);
+        OpBlock buf(64);
+        for (size_t i = 0; i < ops.size();) {
+            if ((i / 64) % 3 == 2) {
+                mixed.consume(ops[i]);
+                ++i;
+                continue;
             }
+            size_t n = std::min<size_t>(64, ops.size() - i);
+            buf.clear();
+            for (size_t j = 0; j < n; ++j)
+                buf.push(ops[i + j]);
+            mixed.consumeBlock(buf);
+            i += n;
         }
-    }
-}
-
-TEST(SweepRungSplit, OddSetCountsSplitCleanly)
-{
-    // 48 KB and 96 KB 8-way rungs have 96 and 192 sets — not powers
-    // of two, so the caches index by modulo and the set count does
-    // not divide evenly by the split width. The set-range partition
-    // must cover every set exactly once whatever the count, so the
-    // split walk still matches the scalar one.
-    std::vector<uint32_t> sizes{48, 96};
-    auto ops = syntheticStream(kStreamOps);
-    FootprintSweep scalar(sizes, 8, 64, 0);
-    FootprintSweep split(sizes, 8, 64, /*workers=*/3);
-    feedBlocked(scalar, ops, 64);
-    feedBlocked(split, ops, 64);
-    for (auto kind : {SweepKind::Instruction, SweepKind::Data,
-                      SweepKind::Unified}) {
-        auto base = scalar.missRatios(kind);
-        auto got = split.missRatios(kind);
-        for (size_t i = 0; i < sizes.size(); ++i)
-            EXPECT_EQ(got[i], base[i]) << sizes[i] << " KB";
+        EXPECT_EQ(mixed.instructions(), per_op.instructions());
+        for (auto kind : {SweepKind::Instruction, SweepKind::Data,
+                          SweepKind::Unified}) {
+            auto base = per_op.missRatios(kind);
+            auto got = mixed.missRatios(kind);
+            for (size_t i = 0; i < sizes.size(); ++i)
+                EXPECT_EQ(got[i], base[i]) << sizes[i] << " KB";
+        }
     }
 }
 

@@ -215,7 +215,7 @@ TEST(ScenarioSpecTest, MatrixExpansionOrderFirstAxisSlowest)
     EXPECT_EQ(cells[3].label, "group=G2 scale=0.5 mode=stack");
     EXPECT_EQ(cells[4].label, "group=G1 scale=0.25 mode=oracle");
     EXPECT_EQ(cells[7].label, "group=G2 scale=0.5 mode=oracle");
-    EXPECT_EQ(cells[4].mode, MrcMode::ShardedOracle);
+    EXPECT_EQ(cells[4].mode, MrcMode::Oracle);
     EXPECT_DOUBLE_EQ(cells[0].scale, 0.25);
     for (size_t i = 0; i < cells.size(); ++i)
         EXPECT_EQ(cells[i].index, i);
@@ -394,7 +394,7 @@ TEST(ScenarioRunnerTest, SweepCellBitIdenticalToHandCodedBench)
     const double base = 0.125;  // cell scale 0.0625 after the factor
     const double scale = base * spec.scaleFactor;
     for (MrcMode mode :
-         {MrcMode::StackDistance, MrcMode::ShardedOracle}) {
+         {MrcMode::StackDistance, MrcMode::Oracle}) {
         // Hand-coded path: footprint_common.hh averageSweepMrc() with
         // a one-entry group.
         TraceCache hand_cache(tempCacheDir(

@@ -311,31 +311,30 @@ TEST(Mrc, ModeNamesRoundTrip)
     EXPECT_TRUE(parseMrcMode("stack", mode));
     EXPECT_EQ(mode, MrcMode::StackDistance);
     EXPECT_TRUE(parseMrcMode("oracle", mode));
-    EXPECT_EQ(mode, MrcMode::ShardedOracle);
+    EXPECT_EQ(mode, MrcMode::Oracle);
     EXPECT_TRUE(parseMrcMode("verify", mode));
     EXPECT_EQ(mode, MrcMode::Verify);
     EXPECT_FALSE(parseMrcMode("bogus", mode));
     EXPECT_EQ(mode, MrcMode::Verify);
     EXPECT_STREQ(toString(MrcMode::StackDistance), "stack");
-    EXPECT_STREQ(toString(MrcMode::ShardedOracle), "oracle");
+    EXPECT_STREQ(toString(MrcMode::Oracle), "oracle");
     EXPECT_STREQ(toString(MrcMode::Verify), "verify");
 }
 
-TEST(Mrc, ModesAgreeWithEachOtherAndTheLegacyPath)
+TEST(Mrc, ModesAgreeWithEachOther)
 {
     std::string path = writeTrace("modes", syntheticStream(kStreamOps));
     auto sizes = paperSweepSizesKb();
 
-    auto legacy = replaySweepLadder(path, SweepKind::Unified, sizes, 1);
     MrcResult oracle = replaySweepLadder(
-        path, SweepKind::Unified, sizes, MrcMode::ShardedOracle, 1);
+        path, SweepKind::Unified, sizes, MrcMode::Oracle, 1);
     MrcResult stack = replaySweepLadder(
         path, SweepKind::Unified, sizes, MrcMode::StackDistance, 1);
     MrcResult verify = replaySweepLadder(
         path, SweepKind::Unified, sizes, MrcMode::Verify, 1);
 
-    // The oracle mode is the legacy path under a new name.
-    EXPECT_EQ(oracle.ratios, legacy);
+    // Oracle mode fills only the primary curve.
+    EXPECT_EQ(oracle.ratios.size(), sizes.size());
     EXPECT_TRUE(oracle.oracleRatios.empty());
     EXPECT_EQ(oracle.maxDivergence, 0.0);
 

@@ -1115,7 +1115,8 @@ TEST(Replay, ParallelReplayMatchesSerial)
     // The sweep-ladder replay equals a live one-pass sweep.
     std::vector<uint32_t> ladder{16, 32, 64, 128};
     auto replayed = replaySweepLadder(path, SweepKind::Instruction,
-                                      ladder, 4);
+                                      ladder, MrcMode::Oracle, 4)
+                        .ratios;
     FootprintSweep live(ladder);
     {
         WorkloadPtr w = entry.make(0.1);
@@ -1203,11 +1204,12 @@ TEST(Replay, TracesOnJobsOneMatchesJobsMany)
 
 TEST(Replay, SweepInsidePooledReplayDoesNotDeadlock)
 {
-    // Replay runners and the sweep share one process-wide pool, so a
-    // sweep ladder launched from inside a pooled replay job nests
-    // bounded tickets. The inner wait() participates in its own
-    // fan-out, so this must complete (and stay bit-identical) even if
-    // every pool thread is parked on an outer job.
+    // Replay runners and the stack-distance profile share one
+    // process-wide pool, so a ladder replay launched from inside a
+    // pooled replay job nests the profile's per-stream bounded
+    // tickets. The inner wait() participates in its own fan-out, so
+    // this must complete (and stay bit-identical) even if every pool
+    // thread is parked on an outer job.
     const WorkloadEntry &entry = findWorkload("M-Grep");
     std::string path = tempTracePath("nested-sweep");
     {
@@ -1216,11 +1218,14 @@ TEST(Replay, SweepInsidePooledReplayDoesNotDeadlock)
     }
 
     std::vector<uint32_t> ladder{16, 64, 256};
-    auto expect =
-        replaySweepLadder(path, SweepKind::Unified, ladder, 1);
+    auto expect = replaySweepLadder(path, SweepKind::Unified, ladder,
+                                    MrcMode::StackDistance, 1)
+                      .ratios;
     std::vector<std::vector<double>> got(3);
     parallelFor(got.size(), [&](size_t i) {
-        got[i] = replaySweepLadder(path, SweepKind::Unified, ladder, 4);
+        got[i] = replaySweepLadder(path, SweepKind::Unified, ladder,
+                                   MrcMode::StackDistance, 4)
+                     .ratios;
     }, 3);
     for (size_t i = 0; i < got.size(); ++i) {
         ASSERT_EQ(got[i].size(), expect.size()) << "job " << i;
