@@ -86,13 +86,14 @@ main(int argc, char **argv)
         std::string path = tracePath(name);
 
         TraceReader full_reader(path);
-        FootprintSweep full(sizes);
+        FootprintSweep full(sizes, 8, 64, SweepKind::Instruction);
         full_reader.replayInto(full);
         auto full_curve = full.missRatios(SweepKind::Instruction);
 
         // The stored op count replaces the counting pre-pass.
         TraceReader sampled_reader(path);
-        FootprintSweep sampled_sweep(sizes);
+        FootprintSweep sampled_sweep(sizes, 8, 64,
+                                     SweepKind::Instruction);
         SamplingSink sampler(sampled_sweep, sampled_reader.opCount());
         sampled_reader.replayInto(sampler);
         auto sampled_curve =

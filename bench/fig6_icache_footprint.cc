@@ -45,7 +45,7 @@ serialReexecutionSweep(const WorkloadEntry &entry, double scale)
     std::vector<double> curve;
     for (uint32_t kb : paperSweepSizesKb()) {
         WorkloadPtr w = entry.make(scale);
-        FootprintSweep sweep({kb});
+        FootprintSweep sweep({kb}, 8, 64, SweepKind::Instruction);
         runThroughSink(*w, sweep);
         curve.push_back(sweep.missRatios(SweepKind::Instruction)[0]);
     }

@@ -86,18 +86,19 @@ averageSweep(const std::vector<WorkloadEntry> &entries, SweepKind kind,
  * Live (no-trace) sweep of one workload: one execution, full ladder,
  * through the active mode's curve model — the stack-distance profile
  * in stack and verify modes, the set-associative ladder in oracle
- * mode — so a live curve is comparable to the replayed one.
+ * mode — scoped to `kind` exactly as replaySweepLadder scopes it, so
+ * a live curve is comparable to the replayed one.
  */
 inline std::vector<double>
 liveSweep(const WorkloadEntry &entry, SweepKind kind, double scale)
 {
     WorkloadPtr w = entry.make(scale);
     if (benchOptions().mrcMode == MrcMode::Oracle) {
-        FootprintSweep sweep(paperSweepSizesKb());
+        FootprintSweep sweep(paperSweepSizesKb(), 8, 64, kind);
         runThroughSink(*w, sweep);
         return sweep.missRatios(kind);
     }
-    StackDistanceProfile profile;
+    StackDistanceProfile profile(kind);
     runThroughSink(*w, profile);
     return profile.missRatios(kind, paperSweepSizesKb());
 }

@@ -572,7 +572,7 @@ BENCHMARK(BM_ReplaySimCpuBatch);
  * replay, which is exactly what the batch path's line-id precompute,
  * run-length compression and set-MRU repeat memos attack. The sweep
  * is the serial set-associative oracle; the default MRC path is the
- * stack-distance profile of BM_MrcSinglePass.
+ * kind-scoped stack-distance profile of BM_MrcSingleKind.
  */
 void
 BM_ReplaySweepPerOp(benchmark::State &state)
@@ -592,8 +592,9 @@ BENCHMARK(BM_ReplaySweepBatch);
 
 /**
  * The single-pass replacement for the whole ladder: one decode pass
- * into the Mattson stack-distance profile, then every rung of the
- * fig6 ladder is a histogram walk (sim/stack_distance.hh). Runs
+ * into the all-streams Mattson stack-distance profile, then every
+ * rung of the fig6 ladder is a histogram walk
+ * (sim/stack_distance.hh). Runs
  * strictly serial (workers = 1) and is expected to beat the serial
  * oracle sweep of BM_ReplaySweepBatch on wall clock; the perf gate
  * pins both rows.
@@ -615,6 +616,30 @@ BM_MrcSinglePass(benchmark::State &state)
     state.SetItemsProcessed(static_cast<int64_t>(ops_read));
 }
 BENCHMARK(BM_MrcSinglePass)->UseRealTime();
+
+/**
+ * The profile replaySweepLadder builds: scoped to the instruction
+ * stream (Figure 6's curve), serial, so the data and unified streams
+ * are never compressed or walked. Beside BM_MrcSinglePass, which
+ * profiles all three streams, the pair shows what the scoping saves.
+ */
+void
+BM_MrcSingleKind(benchmark::State &state)
+{
+    TraceReader reader(replayBenchTrace());
+    auto sizes = paperSweepSizesKb();
+    uint64_t ops_read = 0;
+    double sink = 0.0;
+    for (auto _ : state) {
+        StackDistanceProfile profile(SweepKind::Instruction);
+        ops_read += reader.replayInto(profile);
+        auto curve = profile.missRatios(SweepKind::Instruction, sizes);
+        sink += curve.back();
+    }
+    benchmark::DoNotOptimize(sink);
+    state.SetItemsProcessed(static_cast<int64_t>(ops_read));
+}
+BENCHMARK(BM_MrcSingleKind)->UseRealTime();
 
 // The threaded rows measure wall time: CPU-time-based items/s would
 // count only the calling thread while the pool does the work,

@@ -43,8 +43,10 @@
  * stack-distance MRC under `--mrc`.
  */
 
+#include <bit>
 #include <cerrno>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -156,6 +158,61 @@ parseCount(const char *flag, const char *value, uint64_t min,
         wcrt_fatal("bad ", flag, " '", value, "' (expected ", min,
                    "..", max, ")");
     return v;
+}
+
+/** Largest accepted --assoc, --line, and capacity in KB (--sizes
+ *  entries, --machine=sim<KB>). */
+constexpr uint64_t kMaxAssoc = 1 << 16;
+constexpr uint64_t kMaxLineBytes = 1 << 16;
+constexpr uint64_t kMaxSizeKb = 1 << 22;
+/** Largest accepted --jobs: a cap on the shared pool, not a spawn. */
+constexpr uint64_t kMaxJobs = 4096;
+
+/** --jobs value: 0 (every hardware thread) up to kMaxJobs. */
+unsigned
+parseJobs(const char *value)
+{
+    return static_cast<unsigned>(parseCount("--jobs", value, 0, kMaxJobs));
+}
+
+/** --line value: a power of two up to kMaxLineBytes. */
+uint32_t
+parseLine(const char *value)
+{
+    uint64_t bytes = parseCount("--line", value, 1, kMaxLineBytes);
+    if (!std::has_single_bit(bytes))
+        wcrt_fatal("bad --line '", value, "' (expected a power of two)");
+    return static_cast<uint32_t>(bytes);
+}
+
+/**
+ * --sizes value: comma-separated capacities in KB, each strictly
+ * parsed. An empty entry ("16,,64", a trailing comma) is rejected.
+ */
+std::vector<uint32_t>
+parseSizes(const char *value)
+{
+    std::vector<uint32_t> sizes;
+    std::string list = value;
+    for (size_t pos = 0;;) {
+        size_t comma = list.find(',', pos);
+        std::string tok = list.substr(pos, comma - pos);
+        sizes.push_back(static_cast<uint32_t>(
+            parseCount("--sizes", tok.c_str(), 1, kMaxSizeKb)));
+        if (comma == std::string::npos)
+            return sizes;
+        pos = comma + 1;
+    }
+}
+
+SweepKind
+parseKindFlag(const char *value)
+{
+    SweepKind kind = SweepKind::Instruction;
+    if (!parseSweepKind(value, kind))
+        wcrt_fatal("unknown --kind '", value,
+                   "' (instr, data or unified)");
+    return kind;
 }
 
 const char *
@@ -329,8 +386,9 @@ parseMachineList(const std::string &machine_list)
         else if (tok == "atom")
             configs.push_back(atomD510());
         else if (tok.rfind("sim", 0) == 0)
-            configs.push_back(atomInOrderSim(
-                static_cast<uint32_t>(std::atoi(tok.c_str() + 3))));
+            configs.push_back(atomInOrderSim(static_cast<uint32_t>(
+                parseCount("--machine sim<KB>", tok.c_str() + 3, 1,
+                           kMaxSizeKb))));
         else
             wcrt_fatal("unknown machine '", tok,
                        "' (expected xeon, atom or sim<KB>)");
@@ -400,7 +458,6 @@ cmdMrc(int argc, char **argv)
 {
     std::string path = argv[2];
     SweepKind kind = SweepKind::Instruction;
-    std::string kind_name = "instr";
     MrcMode mode = MrcMode::StackDistance;
     std::vector<uint32_t> sizes = paperSweepSizesKb();
     uint32_t assoc = 8;
@@ -409,16 +466,7 @@ cmdMrc(int argc, char **argv)
     bool json = false;
     for (int i = 3; i < argc; ++i) {
         if (const char *v = flagValue(argv[i], "--kind", argc, argv, i)) {
-            kind_name = v;
-            if (kind_name == "instr")
-                kind = SweepKind::Instruction;
-            else if (kind_name == "data")
-                kind = SweepKind::Data;
-            else if (kind_name == "unified")
-                kind = SweepKind::Unified;
-            else
-                wcrt_fatal("unknown --kind '", v,
-                           "' (instr, data or unified)");
+            kind = parseKindFlag(v);
         } else if (const char *v2 =
                        flagValue(argv[i], "--mode", argc, argv, i)) {
             if (!parseMrcMode(v2, mode))
@@ -426,29 +474,17 @@ cmdMrc(int argc, char **argv)
                            "' (stack, oracle or verify)");
         } else if (const char *v3 =
                        flagValue(argv[i], "--sizes", argc, argv, i)) {
-            sizes.clear();
-            std::string list = v3;
-            for (size_t pos = 0; pos < list.size();) {
-                size_t comma = list.find(',', pos);
-                if (comma == std::string::npos)
-                    comma = list.size();
-                int kb = std::atoi(list.substr(pos, comma - pos).c_str());
-                if (kb <= 0)
-                    wcrt_fatal("bad --sizes entry in '", v3, "'");
-                sizes.push_back(static_cast<uint32_t>(kb));
-                pos = comma + 1;
-            }
-            if (sizes.empty())
-                wcrt_fatal("--sizes needs at least one capacity");
+            sizes = parseSizes(v3);
         } else if (const char *v4 =
                        flagValue(argv[i], "--assoc", argc, argv, i)) {
-            assoc = static_cast<uint32_t>(std::atoi(v4));
+            assoc = static_cast<uint32_t>(
+                parseCount("--assoc", v4, 1, kMaxAssoc));
         } else if (const char *v5 =
                        flagValue(argv[i], "--line", argc, argv, i)) {
-            line_bytes = static_cast<uint32_t>(std::atoi(v5));
+            line_bytes = parseLine(v5);
         } else if (const char *v6 =
                        flagValue(argv[i], "--jobs", argc, argv, i)) {
-            jobs = static_cast<unsigned>(std::atoi(v6));
+            jobs = parseJobs(v6);
         } else if (std::strcmp(argv[i], "--json") == 0) {
             json = true;
         } else {
@@ -466,7 +502,7 @@ cmdMrc(int argc, char **argv)
                   << "  \"trace\": \"" << jsonEscape(path) << "\",\n"
                   << "  \"workload\": \"" << jsonEscape(workload)
                   << "\",\n"
-                  << "  \"kind\": \"" << kind_name << "\",\n"
+                  << "  \"kind\": \"" << toString(kind) << "\",\n"
                   << "  \"mode\": \"" << toString(mode) << "\",\n"
                   << "  \"assoc\": " << assoc << ",\n"
                   << "  \"line_bytes\": " << line_bytes << ",\n";
@@ -500,7 +536,8 @@ cmdMrc(int argc, char **argv)
         return 0;
     }
 
-    std::cout << "miss-ratio curve of " << workload << " (" << kind_name
+    std::cout << "miss-ratio curve of " << workload << " ("
+              << toString(kind)
               << ", " << toString(mode) << " mode, line " << line_bytes
               << "B"
               << (mode == MrcMode::StackDistance
@@ -656,7 +693,6 @@ cmdAttach(int argc, char **argv)
     std::string machines;
     bool mrc = false;
     SweepKind kind = SweepKind::Instruction;
-    std::string kind_name = "instr";
     std::vector<uint32_t> sizes = paperSweepSizesKb();
     uint32_t line_bytes = 64;
     unsigned jobs = 0;
@@ -676,33 +712,16 @@ cmdAttach(int argc, char **argv)
             mrc = true;
         else if (const char *v4 =
                      flagValue(argv[i], "--kind", argc, argv, i)) {
-            kind_name = v4;
-            if (kind_name == "instr")
-                kind = SweepKind::Instruction;
-            else if (kind_name == "data")
-                kind = SweepKind::Data;
-            else if (kind_name == "unified")
-                kind = SweepKind::Unified;
-            else
-                wcrt_fatal("unknown --kind '", v4,
-                           "' (instr, data or unified)");
+            kind = parseKindFlag(v4);
         } else if (const char *v5 =
                        flagValue(argv[i], "--sizes", argc, argv, i)) {
-            sizes.clear();
-            for (const std::string &tok : splitList(v5)) {
-                int kb = std::atoi(tok.c_str());
-                if (kb <= 0)
-                    wcrt_fatal("bad --sizes entry in '", v5, "'");
-                sizes.push_back(static_cast<uint32_t>(kb));
-            }
-            if (sizes.empty())
-                wcrt_fatal("--sizes needs at least one capacity");
+            sizes = parseSizes(v5);
         } else if (const char *v6 =
                        flagValue(argv[i], "--line", argc, argv, i)) {
-            line_bytes = static_cast<uint32_t>(std::atoi(v6));
+            line_bytes = parseLine(v6);
         } else if (const char *v7 =
                        flagValue(argv[i], "--jobs", argc, argv, i)) {
-            jobs = static_cast<unsigned>(std::atoi(v7));
+            jobs = parseJobs(v7);
         } else if (const char *v8 = flagValue(argv[i], "--timeout-ms",
                                               argc, argv, i)) {
             timeout_ms = parseCount("--timeout-ms", v8, 1, 86400000);
@@ -752,12 +771,11 @@ cmdAttach(int argc, char **argv)
                       << probe.ioName() << "\n";
 
             if (mrc) {
-                // Mirror replaySweepLadder's StackDistance mode so
-                // the curve is bit-identical to `trace_tool mrc` on
-                // the equivalent file.
-                unsigned workers = replayWorkers(jobs);
-                StackDistanceProfile profile(
-                    line_bytes, workers > 1 ? workers : 0);
+                // Mirror replaySweepLadder's StackDistance mode (a
+                // profile scoped to the one stream) so the curve is
+                // bit-identical to `trace_tool mrc` on the equivalent
+                // file.
+                StackDistanceProfile profile(kind, line_bytes);
                 TraceReader reader(
                     std::make_unique<ShmSource>(streams[i]), display);
                 reader.replayInto(profile);
@@ -839,7 +857,7 @@ main(int argc, char **argv)
             for (int i = 3; i < argc; ++i) {
                 if (const char *v =
                         flagValue(argv[i], "--limit", argc, argv, i))
-                    limit = std::strtoull(v, nullptr, 10);
+                    limit = parseCount("--limit", v, 0, UINT64_MAX);
                 else
                     return usage();
             }
@@ -854,7 +872,7 @@ main(int argc, char **argv)
                     machines = v;
                 else if (const char *v2 =
                              flagValue(argv[i], "--jobs", argc, argv, i))
-                    jobs = static_cast<unsigned>(std::atoi(v2));
+                    jobs = parseJobs(v2);
                 else
                     return usage();
             }

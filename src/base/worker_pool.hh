@@ -3,13 +3,14 @@
  * Persistent worker pool with caller-participating completion waits.
  *
  * Every parallel path in the toolkit needs the same machinery:
- * TeeSink fans one block out to N children, StackDistanceProfile fans
- * one block out to its three reference streams, and the replay
- * runners fan N independent trace replays out over the machine. Each submits a task
- * of `count` independent indices; pool threads and the waiting caller
- * claim indices from a shared atomic counter, so the submitter never
- * idles while work remains and a pool of zero threads degenerates to
- * plain sequential execution on the caller.
+ * TeeSink fans one block out to N children, the all-streams
+ * StackDistanceProfile fans one block out to its three reference
+ * streams, and the replay runners fan N independent trace replays
+ * out over the machine. Each submits a task of `count` independent
+ * indices; pool threads and the waiting caller claim indices from a
+ * shared atomic counter, so the submitter never idles while work
+ * remains and a pool of zero threads degenerates to plain sequential
+ * execution on the caller.
  *
  * A submitted task is represented by a Ticket. wait() blocks until
  * every index of that ticket has finished executing — not merely been
@@ -27,10 +28,10 @@
  *
  * Nesting is deadlock-free by construction: wait() always helps with
  * the awaited ticket's own indices before sleeping, so a pool thread
- * that submits a sub-task from inside a job (a stack-distance profile
- * running inside a pooled replay) makes progress on that sub-task itself and
- * only sleeps once every index is claimed by threads that are
- * actively executing them.
+ * that submits a sub-task from inside a job (an all-streams
+ * stack-distance profile running inside a pooled replay) makes
+ * progress on that sub-task itself and only sleeps once every index
+ * is claimed by threads that are actively executing them.
  */
 
 #ifndef WCRT_BASE_WORKER_POOL_HH

@@ -203,13 +203,7 @@ parseScenarioSection(const ScenarioSection &sec, ScenarioSpec &spec,
                 check.fail(e.line,
                            "bad scale-factor '" + e.value + "'");
         } else if (e.key == "sweep-kind") {
-            if (e.value == "instr")
-                spec.sweepKind = SweepKind::Instruction;
-            else if (e.value == "data")
-                spec.sweepKind = SweepKind::Data;
-            else if (e.value == "unified")
-                spec.sweepKind = SweepKind::Unified;
-            else
+            if (!parseSweepKind(e.value, spec.sweepKind))
                 check.fail(e.line,
                            "unknown sweep-kind '" + e.value +
                                "' (instr, data or unified)");

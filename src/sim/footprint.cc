@@ -29,22 +29,26 @@ kneeCapacityKb(const std::vector<double> &curve,
 }
 
 FootprintSweep::FootprintSweep(std::vector<uint32_t> sizes_kb,
-                               uint32_t assoc, uint32_t line_bytes)
-    : sizes(std::move(sizes_kb))
+                               uint32_t assoc, uint32_t line_bytes,
+                               std::optional<SweepKind> only_kind)
+    : sizes(std::move(sizes_kb)), only(only_kind)
 {
     if (sizes.empty())
         wcrt_fatal("footprint sweep needs at least one capacity");
-    for (uint32_t kb : sizes) {
-        CacheConfig cfg{"sweep", static_cast<uint64_t>(kb) * 1024,
-                        assoc, line_bytes};
-        icaches.emplace_back(cfg);
-        dcaches.emplace_back(cfg);
-        ucaches.emplace_back(cfg);
+    for (SweepKind k : kSweepKinds) {
+        if (!records(k))
+            continue;
+        Ladder &l = ladder(k);
+        for (uint32_t kb : sizes)
+            l.caches.emplace_back(CacheConfig{
+                "sweep", static_cast<uint64_t>(kb) * 1024, assoc,
+                line_bytes});
+        l.memos.resize(sizes.size());
+        // Every rung shares the line size, so one shift serves all of
+        // them (the Cache constructor has already validated
+        // power-of-two).
+        lineShift = l.caches.front().lineShiftBits();
     }
-    filters.resize(sizes.size() * 3);
-    // Every rung shares the line size, so one shift serves all of
-    // them (the Cache constructor has already validated power-of-two).
-    lineShift = icaches.front().lineShiftBits();
 }
 
 void
@@ -56,23 +60,30 @@ FootprintSweep::consume(const MicroOp &op)
     if (filtersLive)
         clearFilters();
     ++ops;
-    for (size_t k = 0; k < sizes.size(); ++k) {
-        icaches[k].access(op.pc, false);
-        ucaches[k].access(op.pc, false);
-        if (op.memSize > 0) {
-            bool is_write = op.kind == OpKind::Store;
-            dcaches[k].access(op.memAddr, is_write);
-            ucaches[k].access(op.memAddr, is_write);
-        }
+    // The rung caches are independent, so each stream's ladder takes
+    // the op in turn; only the unified cache's pc-then-memory order
+    // within one op matters.
+    bool is_write = op.kind == OpKind::Store;
+    for (Cache &c : ladder(SweepKind::Instruction).caches)
+        c.access(op.pc, false);
+    if (op.memSize > 0)
+        for (Cache &c : ladder(SweepKind::Data).caches)
+            c.access(op.memAddr, is_write);
+    for (Cache &c : ladder(SweepKind::Unified).caches) {
+        c.access(op.pc, false);
+        if (op.memSize > 0)
+            c.access(op.memAddr, is_write);
     }
 }
 
 void
 FootprintSweep::clearFilters()
 {
-    for (auto &f : filters) {
-        f.valid[0] = 0;
-        f.valid[1] = 0;
+    for (Ladder &l : ladders) {
+        for (RepeatSlots &f : l.memos) {
+            f.valid[0] = 0;
+            f.valid[1] = 0;
+        }
     }
     filtersLive = false;
 }
@@ -144,39 +155,33 @@ FootprintSweep::consumeBatch(const OpBlockView &batch)
     if (count == 0)
         return;
     filtersLive = true;
-    // Line-id precompute + run-length compression of the three
+    // Line-id precompute + run-length compression of the swept
     // reference streams, shared with the stack-distance profile
     // (sim/line_runs.hh), so every rung iterates runs instead of ops.
     // The pc stream is the big winner: sequential code re-touches
     // each line for many ops, and each re-touch is a guaranteed MRU
     // hit in every rung. Runs split on write sense so the repeat
     // memos can track dirty state per run.
-    runs.build(batch, lineShift, /*split_on_write=*/true);
+    runs.build(batch, lineShift, /*split_on_write=*/true, only);
     for (size_t k = 0; k < sizes.size(); ++k) {
-        sweepStream(icaches[k], filters[k * 3 + 0], runs.instr());
-        sweepStream(dcaches[k], filters[k * 3 + 1], runs.data());
-        sweepStream(ucaches[k], filters[k * 3 + 2], runs.unified());
+        for (SweepKind kind : kSweepKinds) {
+            Ladder &l = ladder(kind);
+            if (!l.caches.empty())
+                sweepStream(l.caches[k], l.memos[k], runs.stream(kind));
+        }
     }
 }
 
 std::vector<double>
 FootprintSweep::missRatios(SweepKind kind) const
 {
-    const std::vector<Cache> *set = nullptr;
-    switch (kind) {
-      case SweepKind::Instruction:
-        set = &icaches;
-        break;
-      case SweepKind::Data:
-        set = &dcaches;
-        break;
-      case SweepKind::Unified:
-        set = &ucaches;
-        break;
-    }
+    if (!records(kind))
+        wcrt_fatal("footprint sweep: asked for the ", toString(kind),
+                   " stream, but it sweeps only the ", toString(*only),
+                   " stream");
     std::vector<double> out;
-    out.reserve(set->size());
-    for (const auto &c : *set)
+    out.reserve(sizes.size());
+    for (const Cache &c : ladder(kind).caches)
         out.push_back(c.missRatio());
     return out;
 }

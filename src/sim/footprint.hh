@@ -20,7 +20,8 @@
  * one tag array at a time so its sets stay hot, with a two-slot memo
  * that credits set-MRU repeats without a tag walk. All stages are
  * equivalence preserving: miss and access counts stay bit-identical
- * to the per-op path.
+ * to the per-op path. A kind-scoped sweep builds the rung caches and
+ * memos of one stream only and compresses only that stream.
  */
 
 #ifndef WCRT_SIM_FOOTPRINT_HH
@@ -35,9 +36,6 @@
 
 namespace wcrt {
 
-/** Which reference stream a sweep curve describes. */
-enum class SweepKind : uint8_t { Instruction, Data, Unified };
-
 /**
  * Multi-capacity cache sweep sink.
  */
@@ -48,10 +46,15 @@ class FootprintSweep : public TraceSink
      * @param sizes_kb Cache capacities to ladder (ascending).
      * @param assoc Associativity of every rung (paper: 8).
      * @param line_bytes Line size (paper: 64).
+     * @param only When set, sweep only that stream; its curve is
+     *        bit-identical to the all-streams sweep's, and
+     *        missRatios() is fatal for the other kinds. When unset,
+     *        sweep all three streams.
      */
     explicit FootprintSweep(std::vector<uint32_t> sizes_kb,
                             uint32_t assoc = 8,
-                            uint32_t line_bytes = 64);
+                            uint32_t line_bytes = 64,
+                            std::optional<SweepKind> only = std::nullopt);
 
     void consume(const MicroOp &op) override;
 
@@ -67,8 +70,14 @@ class FootprintSweep : public TraceSink
     /** The capacities swept, in KB. */
     const std::vector<uint32_t> &sizesKb() const { return sizes; }
 
-    /** Miss ratio at each capacity for one stream kind. */
+    /**
+     * Miss ratio at each capacity for one stream kind. Fatal when
+     * `kind` is not swept.
+     */
     std::vector<double> missRatios(SweepKind kind) const;
+
+    /** True when this sweep records `kind`'s stream. */
+    bool records(SweepKind kind) const { return !only || *only == kind; }
 
     /** Instructions consumed. */
     uint64_t instructions() const { return ops; }
@@ -123,12 +132,26 @@ class FootprintSweep : public TraceSink
                             const std::vector<LineRun> &runs);
     void clearFilters();
 
+    /** One stream's rung caches and their repeat memos. */
+    struct Ladder
+    {
+        std::vector<Cache> caches;       //!< one per rung
+        std::vector<RepeatSlots> memos;  //!< one per rung
+    };
+
+    Ladder &ladder(SweepKind kind)
+    {
+        return ladders[static_cast<size_t>(kind)];
+    }
+    const Ladder &ladder(SweepKind kind) const
+    {
+        return ladders[static_cast<size_t>(kind)];
+    }
+
     std::vector<uint32_t> sizes;
-    std::vector<Cache> icaches;
-    std::vector<Cache> dcaches;
-    std::vector<Cache> ucaches;
-    //! Repeat memos, one per (rung, stream), indexed rung * 3 + stream.
-    std::vector<RepeatSlots> filters;
+    //! Indexed by SweepKind; empty for a stream that is not swept.
+    Ladder ladders[3];
+    std::optional<SweepKind> only;  //!< unset: all three swept
     LineRunStreams runs;  //!< per-block compressed streams + scratch
     uint32_t lineShift = 6;
     bool filtersLive = false;  //!< memo state exists from a batch

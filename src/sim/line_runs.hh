@@ -11,18 +11,39 @@
  * and distance-zero reuses in any stack profile, so only run heads
  * need real work. This module owns the two block-level stages they
  * share: the AVX2-dispatched address→line-id shift and the one-pass
- * run-length compression of the three streams.
+ * run-length compression of the three streams — or of just the one
+ * stream a kind-scoped sink records, in which case the other two run
+ * vectors stay empty and an instruction-only build never shifts a
+ * memory address.
  */
 
 #ifndef WCRT_SIM_LINE_RUNS_HH
 #define WCRT_SIM_LINE_RUNS_HH
 
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "trace/microop.hh"
 
 namespace wcrt {
+
+/** Which reference stream a miss-ratio curve describes. */
+enum class SweepKind : uint8_t { Instruction, Data, Unified };
+
+/** Every SweepKind, in enum order. */
+inline constexpr SweepKind kSweepKinds[] = {
+    SweepKind::Instruction, SweepKind::Data, SweepKind::Unified};
+
+/** Kind name as the CLI flags spell it: instr / data / unified. */
+const char *toString(SweepKind kind);
+
+/**
+ * Parse a kind name ("instr", "data", "unified").
+ * @return false when the name matches no kind (`out` untouched).
+ */
+bool parseSweepKind(const std::string &name, SweepKind &out);
 
 /**
  * One run-length-compressed reference: `count` back-to-back accesses
@@ -48,18 +69,18 @@ void shiftLines(const uint64_t *addrs, size_t count, uint32_t shift,
                 uint64_t *out);
 
 /**
- * Per-block builder of the three RLE'd reference streams. Owns the
- * line-id scratch and run vectors so a sink reuses one instance
- * across blocks without reallocating in steady state.
+ * Per-block builder of the RLE'd reference streams. Owns the line-id
+ * scratch and run vectors so a sink reuses one instance across blocks
+ * without reallocating in steady state.
  */
 class LineRunStreams
 {
   public:
     /**
-     * Rebuild the three streams from one block: instruction = every
-     * op's pc line, data = the memory line of ops with an access,
-     * unified = pc line then memory line per op (the exact order the
-     * per-op path touches a unified cache).
+     * Rebuild the streams from one block: instruction = every op's pc
+     * line, data = the memory line of ops with an access, unified =
+     * pc line then memory line per op (the exact order the per-op
+     * path touches a unified cache).
      *
      * @param batch The block to compress.
      * @param line_shift log2(line size) for the address→line shift.
@@ -68,19 +89,21 @@ class LineRunStreams
      *        dirty state per run); when false consecutive accesses to
      *        one line merge regardless of sense (a stack profile's
      *        LRU ordering is sense-blind).
+     * @param only When set, fill just that stream: the other two come
+     *        back empty, and the pc or memory lines the stream does
+     *        not read are never shifted. When unset, fill all three.
      */
     void build(const OpBlockView &batch, uint32_t line_shift,
-               bool split_on_write);
+               bool split_on_write,
+               std::optional<SweepKind> only = std::nullopt);
 
-    const std::vector<LineRun> &instr() const { return instrRuns; }
-    const std::vector<LineRun> &data() const { return dataRuns; }
-    const std::vector<LineRun> &unified() const { return uniRuns; }
-
-    /** Stream by index: 0/1/2 = instruction/data/unified. */
+    /** One stream's runs. */
     const std::vector<LineRun> &
-    stream(size_t index) const
+    stream(SweepKind kind) const
     {
-        return index == 0 ? instrRuns : index == 1 ? dataRuns : uniRuns;
+        return kind == SweepKind::Instruction ? instrRuns
+               : kind == SweepKind::Data      ? dataRuns
+                                              : uniRuns;
     }
 
   private:

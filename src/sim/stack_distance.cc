@@ -28,17 +28,31 @@ constexpr size_t kInitialMapSlots = 1 << 10;
 StackDistanceProfile::StackDistanceProfile(uint32_t line_bytes,
                                            unsigned workers,
                                            size_t initial_slots)
-    : lineBytes(line_bytes)
+    : lineBytes(line_bytes), poolCap(workers)
 {
-    if (line_bytes == 0 || !std::has_single_bit(line_bytes))
+    init(initial_slots);
+}
+
+StackDistanceProfile::StackDistanceProfile(SweepKind only_kind,
+                                           uint32_t line_bytes,
+                                           size_t initial_slots)
+    : only(only_kind), lineBytes(line_bytes)
+{
+    init(initial_slots);
+}
+
+void
+StackDistanceProfile::init(size_t initial_slots)
+{
+    if (lineBytes == 0 || !std::has_single_bit(lineBytes))
         wcrt_fatal("stack-distance profile: line size must be a power "
-                   "of two, got ", line_bytes);
-    lineShift = static_cast<uint32_t>(std::countr_zero(line_bytes));
-    poolCap = workers;
+                   "of two, got ", lineBytes);
+    lineShift = static_cast<uint32_t>(std::countr_zero(lineBytes));
     size_t slots = std::bit_ceil(std::max<size_t>(initial_slots, 16));
-    instrStream.init(slots);
-    dataStream.init(slots);
-    uniStream.init(slots);
+    // An unrecorded stream keeps no slot space or map at all.
+    for (SweepKind k : kSweepKinds)
+        if (records(k))
+            stream(k).init(slots);
 }
 
 void
@@ -191,12 +205,16 @@ StackDistanceProfile::consume(const MicroOp &op)
 {
     ++ops;
     uint64_t pc_line = op.pc >> lineShift;
-    instrStream.access(pc_line, 1);
-    uniStream.access(pc_line, 1);
+    if (records(SweepKind::Instruction))
+        stream(SweepKind::Instruction).access(pc_line, 1);
+    if (records(SweepKind::Unified))
+        stream(SweepKind::Unified).access(pc_line, 1);
     if (op.memSize > 0) {
         uint64_t mem_line = op.memAddr >> lineShift;
-        dataStream.access(mem_line, 1);
-        uniStream.access(mem_line, 1);
+        if (records(SweepKind::Data))
+            stream(SweepKind::Data).access(mem_line, 1);
+        if (records(SweepKind::Unified))
+            stream(SweepKind::Unified).access(mem_line, 1);
     }
 }
 
@@ -209,35 +227,34 @@ StackDistanceProfile::consumeBatch(const OpBlockView &batch)
     // Distances are write-sense-blind, so runs merge across
     // read/write alternation (split_on_write = false) — maximal
     // compression, and the per-op order within each stream is
-    // preserved exactly.
-    runs.build(batch, lineShift, /*split_on_write=*/false);
-    auto stream_task = [&](size_t s) {
-        Stream &st = s == 0 ? instrStream
-                     : s == 1 ? dataStream
-                              : uniStream;
-        for (const LineRun &r : runs.stream(s))
+    // preserved exactly. A kind-scoped profile compresses only its
+    // own stream.
+    runs.build(batch, lineShift, /*split_on_write=*/false, only);
+    auto walk = [&](SweepKind k) {
+        Stream &st = stream(k);
+        for (const LineRun &r : runs.stream(k))
             st.access(r.line, r.count);
     };
-    if (poolCap > 1) {
-        WorkerPool::shared().runBounded(3, std::min(poolCap, 3u),
-                                        stream_task);
+    if (only) {
+        walk(*only);
+    } else if (poolCap > 1) {
+        WorkerPool::shared().runBounded(
+            3, std::min(poolCap, 3u),
+            [&](size_t s) { walk(kSweepKinds[s]); });
     } else {
-        for (size_t s = 0; s < 3; ++s)
-            stream_task(s);
+        for (SweepKind k : kSweepKinds)
+            walk(k);
     }
 }
 
 const StackDistanceProfile::Stream &
 StackDistanceProfile::streamFor(SweepKind kind) const
 {
-    switch (kind) {
-      case SweepKind::Instruction:
-        return instrStream;
-      case SweepKind::Data:
-        return dataStream;
-      default:
-        return uniStream;
-    }
+    if (!records(kind))
+        wcrt_fatal("stack-distance profile: asked for the ",
+                   toString(kind), " stream, but it records only the ",
+                   toString(*only), " stream");
+    return streams[static_cast<size_t>(kind)];
 }
 
 std::vector<double>

@@ -20,10 +20,15 @@
  * (sim/line_runs.hh): line ids are precomputed with the
  * AVX2-dispatched shift and each stream is run-length compressed
  * once, so only run heads reach the tree — the count-1 tail of a run
- * is a guaranteed distance-zero reuse. The three streams are
- * independent (separate stacks, maps and histograms), so with a
- * worker cap above 1 they profile in parallel on the shared pool,
- * bit-identical to the serial order.
+ * is a guaranteed distance-zero reuse.
+ *
+ * A figure plots one stream, so the replay layer builds a kind-scoped
+ * profile: it allocates, compresses and walks only the stream it was
+ * asked for, and asking it for another stream is a fatal error rather
+ * than a curve of zeros. The all-streams profile keeps the three
+ * stacks side by side (they are independent: separate stacks, maps
+ * and histograms) and, with a worker cap above 1, walks them in
+ * parallel on the shared pool, bit-identical to the serial order.
  *
  * What this profile is *not*: a set-associative model. The conflict
  * misses an 8-way rung sees do not exist here — though the gap runs
@@ -38,6 +43,7 @@
 #define WCRT_SIM_STACK_DISTANCE_HH
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "sim/footprint.hh"
@@ -53,6 +59,9 @@ class StackDistanceProfile : public TraceSink
 {
   public:
     /**
+     * All-streams profile: records the instruction, data and unified
+     * streams side by side.
+     *
      * @param line_bytes Cache-line size the distances are counted in
      *        (paper: 64; must be a power of two).
      * @param workers Executor cap for the per-stream fan-out on the
@@ -68,13 +77,28 @@ class StackDistanceProfile : public TraceSink
                                   unsigned workers = 0,
                                   size_t initial_slots = 1 << 16);
 
+    /**
+     * Kind-scoped profile: records only the `only` stream, serially
+     * on the calling thread. Its curve, histogram and counters are
+     * bit-identical to that stream of the all-streams profile; the
+     * accessors fail fatally for the other two kinds.
+     *
+     * @param only The one stream to record.
+     * @param line_bytes As for the all-streams profile.
+     * @param initial_slots As for the all-streams profile.
+     */
+    explicit StackDistanceProfile(SweepKind only,
+                                  uint32_t line_bytes = 64,
+                                  size_t initial_slots = 1 << 16);
+
     void consume(const MicroOp &op) override;
 
     /**
      * Batch-native path: one line-id precompute + RLE pass per block
-     * (shared with FootprintSweep), then each stream's run heads walk
-     * that stream's stack tree — in parallel across the three streams
-     * when a worker cap was given.
+     * (shared with FootprintSweep) over the recorded streams, then
+     * each stream's run heads walk that stream's stack tree — in
+     * parallel across the three streams when an all-streams profile
+     * was given a worker cap.
      */
     void consumeBatch(const OpBlockView &ops) override;
 
@@ -84,13 +108,19 @@ class StackDistanceProfile : public TraceSink
      * hits every capacity of more than d lines. Identical to running
      * FootprintSweep with assoc = capacity/line_bytes at each rung —
      * but every rung is a histogram walk, so arbitrary ladders cost
-     * nothing extra.
+     * nothing extra. Fatal when `kind` is not recorded.
      */
     std::vector<double> missRatios(
         SweepKind kind, const std::vector<uint32_t> &sizes_kb) const;
 
     /** Instructions consumed. */
     uint64_t instructions() const { return ops; }
+
+    /** True when this profile records `kind`'s stream. */
+    bool records(SweepKind kind) const { return !only || *only == kind; }
+
+    // The per-stream accessors below are fatal, like missRatios(), for
+    // a kind this profile does not record.
 
     /** Accesses counted into one stream's profile. */
     uint64_t accesses(SweepKind kind) const;
@@ -152,11 +182,16 @@ class StackDistanceProfile : public TraceSink
         void compact();
     };
 
+    void init(size_t initial_slots);
+    Stream &stream(SweepKind kind)
+    {
+        return streams[static_cast<size_t>(kind)];
+    }
+    /** The recorded stream of `kind`; fatal when it is not recorded. */
     const Stream &streamFor(SweepKind kind) const;
 
-    Stream instrStream;
-    Stream dataStream;
-    Stream uniStream;
+    Stream streams[3];  //!< indexed by SweepKind
+    std::optional<SweepKind> only;  //!< unset: all three recorded
     LineRunStreams runs;  //!< per-block RLE scratch
     uint32_t lineShift = 6;
     uint32_t lineBytes = 64;

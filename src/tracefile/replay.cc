@@ -104,30 +104,27 @@ parseMrcMode(const std::string &name, MrcMode &out)
 MrcResult
 replaySweepLadder(const std::string &trace_path, SweepKind kind,
                   const std::vector<uint32_t> &sizes_kb, MrcMode mode,
-                  unsigned threads, uint32_t assoc, uint32_t line_bytes)
+                  unsigned /*threads*/, uint32_t assoc,
+                  uint32_t line_bytes)
 {
     MrcResult result;
     if (sizes_kb.empty())
         return result;
 
-    // One decode pass total in every mode: the stack-distance profile
-    // spreads its per-stream work over the shared pool per block, so
-    // a single TraceReader feeds the whole ladder instead of each
-    // worker re-decoding the trace for its share. The worker request
-    // is resolved exactly once, here, and handed down as the profile's
-    // executor cap; the oracle sweep walks serially.
-    unsigned workers = replayWorkers(threads);
-    unsigned sink_workers = workers > 1 ? workers : 0;
+    // One decode pass in every mode, and every sink is scoped to the
+    // one stream the caller asked for: the other two streams would be
+    // profiled only to be thrown away. One stream leaves nothing to
+    // fan out, so every mode walks serially on the calling thread.
     switch (mode) {
       case MrcMode::StackDistance: {
-        StackDistanceProfile profile(line_bytes, sink_workers);
+        StackDistanceProfile profile(kind, line_bytes);
         TraceReader reader(trace_path);
         reader.replayInto(profile);
         result.ratios = profile.missRatios(kind, sizes_kb);
         break;
       }
       case MrcMode::Oracle: {
-        FootprintSweep sweep(sizes_kb, assoc, line_bytes);
+        FootprintSweep sweep(sizes_kb, assoc, line_bytes, kind);
         TraceReader reader(trace_path);
         reader.replayInto(sweep);
         result.ratios = sweep.missRatios(kind);
@@ -137,9 +134,9 @@ replaySweepLadder(const std::string &trace_path, SweepKind kind,
         // One decode, two sinks: a synchronous tee delivers every
         // block to both the profile and the sweep, so the comparison
         // can never be skewed by two decodes seeing different chunk
-        // boundaries. The profile keeps its per-stream parallelism.
-        StackDistanceProfile profile(line_bytes, sink_workers);
-        FootprintSweep sweep(sizes_kb, assoc, line_bytes);
+        // boundaries.
+        StackDistanceProfile profile(kind, line_bytes);
+        FootprintSweep sweep(sizes_kb, assoc, line_bytes, kind);
         TeeSink tee(0);
         tee.addSink(&profile);
         tee.addSink(&sweep);

@@ -112,16 +112,17 @@ struct MrcResult
 /**
  * Replay one trace across a cache-capacity ladder in the selected
  * MrcMode: one decode pass in every mode (Verify tees the decoded
- * blocks into both sinks). The stack-distance profile spreads its
- * three streams over the shared pool under the worker cap; the
- * oracle sweep always walks serially.
+ * blocks into both sinks). Every sink is scoped to `kind`: it
+ * compresses and walks that one reference stream and never touches
+ * the other two, serially on the calling thread.
  *
  * @param trace_path Captured trace.
  * @param kind Which reference stream to measure.
  * @param sizes_kb Capacity ladder in KB.
  * @param mode Curve computation path (see MrcMode).
- * @param threads Worker cap for the stack-distance profile
- *        (0 → hardware threads).
+ * @param threads Worker cap. No current mode uses it: one stream has
+ *        nothing to fan out. It stays in the signature so callers'
+ *        positional `assoc` and `line_bytes` keep their meaning.
  * @param assoc Oracle associativity (paper: 8); the stack-distance
  *        curve is fully associative by construction.
  * @param line_bytes Line size (paper: 64).

@@ -293,6 +293,53 @@ TEST(BatchDispatch, FootprintSweepCurvesMatch)
     }
 }
 
+TEST(BatchDispatch, KindScopedFootprintSweepMatchesAllStreams)
+{
+    // A sweep scoped to one stream builds only that stream's rung
+    // caches and memos; its curve must equal that stream of the
+    // all-streams sweep bit for bit, per op and in every block size,
+    // including the set-conflict pattern that hammers the memos.
+    const std::vector<uint32_t> sizes{16, 48, 256, 2048};
+    for (int pattern = 0; pattern < 3; ++pattern) {
+        SCOPED_TRACE(pattern == 0   ? "synthetic"
+                     : pattern == 1 ? "streaming"
+                                    : "conflict");
+        auto ops = pattern == 0   ? syntheticStream(kStreamOps)
+                   : pattern == 1 ? streamingStream(kStreamOps)
+                                  : conflictStream(kStreamOps);
+        FootprintSweep all(sizes);
+        feedPerOp(all, ops);
+        for (SweepKind kind : kSweepKinds) {
+            SCOPED_TRACE(toString(kind));
+            auto base = all.missRatios(kind);
+            FootprintSweep per_op(sizes, 8, 64, kind);
+            feedPerOp(per_op, ops);
+            EXPECT_EQ(per_op.missRatios(kind), base);
+            for (size_t block : kBlockSizes) {
+                SCOPED_TRACE("block " + std::to_string(block));
+                FootprintSweep batched(sizes, 8, 64, kind);
+                feedBlocked(batched, ops, block);
+                EXPECT_EQ(batched.instructions(), all.instructions());
+                EXPECT_EQ(batched.missRatios(kind), base);
+            }
+        }
+    }
+}
+
+TEST(BatchDispatch, KindScopedFootprintSweepRefusesOtherKinds)
+{
+    // Re-execute rather than fork: a forked child of a process whose
+    // shared pool is running hangs on exit under TSan.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    FootprintSweep sweep({16, 64}, 8, 64, SweepKind::Unified);
+    feedBlocked(sweep, conflictStream(1000), 64);
+    EXPECT_TRUE(sweep.records(SweepKind::Unified));
+    EXPECT_FALSE(sweep.records(SweepKind::Data));
+    EXPECT_DEATH(sweep.missRatios(SweepKind::Data),
+                 "asked for the data stream.*only the unified stream");
+    EXPECT_DEATH(sweep.missRatios(SweepKind::Instruction), "instr");
+}
+
 TEST(BatchDispatch, InOrderCoreReportMatches)
 {
     auto ops = syntheticStream(kStreamOps);

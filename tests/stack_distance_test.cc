@@ -3,7 +3,9 @@
  * Tests for the single-pass stack-distance MRC layer: bit-exact
  * equivalence between the Mattson profile's curve and the
  * fully-associative LRU cache sweep on randomized traces under every
- * delivery partition, the compaction and parallel paths, the replay
+ * delivery partition, the compaction and parallel paths, the
+ * kind-scoped profile against the same stream of the all-streams one
+ * (and its fatal refusal of other kinds), the replay
  * layer's MrcMode plumbing (stack / oracle / verify) with its
  * documented stack-vs-oracle divergence bound, and the knee finder's
  * "no knee within ladder" semantics.
@@ -264,6 +266,108 @@ TEST(StackDistance, CountsKnownDistances)
     // lines, so only the cold misses remain: ratio 3/5 exactly.
     EXPECT_EQ(profile.missRatios(SweepKind::Instruction, {1})[0],
               3.0 / 5.0);
+}
+
+/**
+ * Everything a kind-scoped profile reports must equal that stream of
+ * the all-streams profile, bit for bit.
+ */
+void
+expectSameStream(const StackDistanceProfile &scoped,
+                 const StackDistanceProfile &all, SweepKind kind)
+{
+    auto sizes = paperSweepSizesKb();
+    EXPECT_EQ(scoped.histogram(kind), all.histogram(kind));
+    EXPECT_EQ(scoped.coldMisses(kind), all.coldMisses(kind));
+    EXPECT_EQ(scoped.accesses(kind), all.accesses(kind));
+    EXPECT_EQ(scoped.distinctLines(kind), all.distinctLines(kind));
+    EXPECT_EQ(scoped.missRatios(kind, sizes), all.missRatios(kind, sizes));
+    EXPECT_EQ(scoped.instructions(), all.instructions());
+}
+
+TEST(StackDistance, SingleKindMatchesAllStreamProfile)
+{
+    for (bool streaming : {false, true}) {
+        SCOPED_TRACE(streaming ? "streaming" : "synthetic");
+        auto ops = streaming ? streamingStream(kStreamOps)
+                             : syntheticStream(kStreamOps);
+        StackDistanceProfile all;
+        feedPerOp(all, ops);
+        for (SweepKind kind : kSweepKinds) {
+            SCOPED_TRACE(toString(kind));
+            StackDistanceProfile per_op(kind);
+            feedPerOp(per_op, ops);
+            expectSameStream(per_op, all, kind);
+            for (size_t block : kBlockSizes) {
+                SCOPED_TRACE("block " + std::to_string(block));
+                StackDistanceProfile batched(kind);
+                feedBlocked(batched, ops, block);
+                expectSameStream(batched, all, kind);
+            }
+            // A tiny slot space forces the compaction path on the
+            // scoped profile alone.
+            StackDistanceProfile cramped(kind, 64, 16);
+            feedBlocked(cramped, ops, 7);
+            expectSameStream(cramped, all, kind);
+        }
+    }
+}
+
+TEST(StackDistance, UnrecordedKindIsFatal)
+{
+    // Earlier tests may have started the shared pool. A forked
+    // death-test child that exits would then join pool threads that
+    // do not exist in it, which hangs under TSan; the threadsafe style
+    // re-executes the binary for this test instead of forking it.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    StackDistanceProfile all;
+    for (SweepKind k : kSweepKinds)
+        EXPECT_TRUE(all.records(k));
+    // A curve of zeros for a stream nobody recorded would read as a
+    // perfect cache; every per-stream accessor must refuse instead.
+    StackDistanceProfile scoped(SweepKind::Data);
+    feedBlocked(scoped, syntheticStream(1000), 64);
+    for (SweepKind k : kSweepKinds)
+        EXPECT_EQ(scoped.records(k), k == SweepKind::Data);
+    EXPECT_DEATH(scoped.missRatios(SweepKind::Instruction, {16}),
+                 "asked for the instr stream.*only the data stream");
+    EXPECT_DEATH(scoped.histogram(SweepKind::Unified), "unified");
+    EXPECT_DEATH(scoped.accesses(SweepKind::Instruction), "instr");
+    EXPECT_DEATH(scoped.coldMisses(SweepKind::Unified), "unified");
+    EXPECT_DEATH(scoped.distinctLines(SweepKind::Instruction), "instr");
+}
+
+TEST(LineRuns, SingleKindBuildMatchesThatStreamOnly)
+{
+    auto ops = streamingStream(4096);
+    OpBlock buf(ops.size());
+    for (const auto &op : ops)
+        buf.push(op);
+    OpBlockView view = buf.view();
+    for (bool split : {false, true}) {
+        LineRunStreams all;
+        all.build(view, 6, split);
+        for (SweepKind kind : kSweepKinds) {
+            SCOPED_TRACE(std::string(toString(kind)) +
+                         (split ? " split" : " merged"));
+            LineRunStreams one;
+            one.build(view, 6, split, kind);
+            for (SweepKind k : kSweepKinds) {
+                const auto &got = one.stream(k);
+                if (k != kind) {
+                    EXPECT_TRUE(got.empty());
+                    continue;
+                }
+                const auto &want = all.stream(k);
+                ASSERT_EQ(got.size(), want.size());
+                for (size_t i = 0; i < got.size(); ++i) {
+                    EXPECT_EQ(got[i].line, want[i].line);
+                    EXPECT_EQ(got[i].count, want[i].count);
+                    EXPECT_EQ(got[i].write, want[i].write);
+                }
+            }
+        }
+    }
 }
 
 /** Accounting identity on a big randomized trace. */

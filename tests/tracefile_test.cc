@@ -1204,9 +1204,9 @@ TEST(Replay, TracesOnJobsOneMatchesJobsMany)
 
 TEST(Replay, SweepInsidePooledReplayDoesNotDeadlock)
 {
-    // Replay runners and the stack-distance profile share one
-    // process-wide pool, so a ladder replay launched from inside a
-    // pooled replay job nests the profile's per-stream bounded
+    // Replay runners and the all-streams stack-distance profile share
+    // one process-wide pool, so a profile with a worker cap driven
+    // from inside a pooled replay job nests its per-stream bounded
     // tickets. The inner wait() participates in its own fan-out, so
     // this must complete (and stay bit-identical) even if every pool
     // thread is parked on an outer job.
@@ -1218,15 +1218,16 @@ TEST(Replay, SweepInsidePooledReplayDoesNotDeadlock)
     }
 
     std::vector<uint32_t> ladder{16, 64, 256};
-    auto expect = replaySweepLadder(path, SweepKind::Unified, ladder,
-                                    MrcMode::StackDistance, 1)
-                      .ratios;
+    auto profile_curve = [&](unsigned workers) {
+        StackDistanceProfile profile(64, workers);
+        TraceReader reader(path);
+        reader.replayInto(profile);
+        return profile.missRatios(SweepKind::Unified, ladder);
+    };
+    auto expect = profile_curve(0);
     std::vector<std::vector<double>> got(3);
-    parallelFor(got.size(), [&](size_t i) {
-        got[i] = replaySweepLadder(path, SweepKind::Unified, ladder,
-                                   MrcMode::StackDistance, 4)
-                     .ratios;
-    }, 3);
+    parallelFor(got.size(), [&](size_t i) { got[i] = profile_curve(4); },
+                3);
     for (size_t i = 0; i < got.size(); ++i) {
         ASSERT_EQ(got[i].size(), expect.size()) << "job " << i;
         for (size_t k = 0; k < ladder.size(); ++k)
