@@ -11,33 +11,21 @@
  * core/trace_cache.hh) and replayed from disk afterwards, in parallel
  * across workloads — so repeated bench runs and multi-figure sweeps
  * pay one capture per (workload, scale) instead of one execution per
- * figure. Every binary accepts:
- *
- *     --filter=SUBSTR   run only workloads whose name contains SUBSTR
- *     --list            print the roster and exit
- *     --trace-dir=DIR   trace cache directory (default: WCRT_TRACE_DIR
- *                       or <tmp>/wcrt-traces)
- *     --jobs=N          cap replay worker threads (default: hardware)
- *
- * The capacity-sweep figures (6-9) additionally accept:
- *
- *     --mrc-mode=MODE   miss-ratio-curve path: stack (single-pass
- *                       stack-distance profile, the default), oracle
- *                       (per-rung set-associative sweep), or verify
- *                       (both, reporting the curve divergence)
+ * figure. initBench() registers the shared flags a binary reads
+ * (`--list`, `--filter`, `--trace-dir`, `--jobs`, and `--mrc-mode` on
+ * the capacity-sweep figures 6-9); `--help` lists them.
  */
 
 #ifndef WCRT_BENCH_BENCH_COMMON_HH
 #define WCRT_BENCH_BENCH_COMMON_HH
 
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <map>
 #include <string>
 #include <vector>
 
-#include "base/logging.hh"
+#include "base/flags.hh"
 #include "base/summary.hh"
 #include "base/table.hh"
 #include "baselines/baselines.hh"
@@ -48,20 +36,10 @@
 
 namespace wcrt::bench {
 
-/** Dataset scale for bench runs (WCRT_SCALE, default 0.5). */
-inline double
-benchScale()
-{
-    if (const char *s = std::getenv("WCRT_SCALE"))
-        return std::atof(s);
-    return 0.5;
-}
-
 /**
- * Which shared flags a bench binary actually consults. Passed to
- * initBench() so a flag the binary parses but never reads draws a
- * warning instead of silently doing nothing (a `--trace-dir` on a
- * bench that generates live would otherwise look honoured).
+ * Which shared flags a bench binary registers. Passed to initBench();
+ * any flag outside the mask is an unknown flag, so a `--trace-dir` on
+ * a bench that generates live fails instead of looking honoured.
  */
 enum BenchFlagUse : unsigned {
     kBenchUsesNone = 0,
@@ -69,8 +47,7 @@ enum BenchFlagUse : unsigned {
     kBenchUsesTraceDir = 1u << 1,
     kBenchUsesJobs = 1u << 2,
     //! Deliberately outside kBenchUsesAll: only the capacity-sweep
-    //! figures compute miss-ratio curves, so every other bench keeps
-    //! warning on --mrc-mode instead of silently accepting it.
+    //! figures compute miss-ratio curves.
     kBenchUsesMrcMode = 1u << 3,
     kBenchUsesAll =
         kBenchUsesFilter | kBenchUsesTraceDir | kBenchUsesJobs,
@@ -85,7 +62,7 @@ struct BenchOptions
     unsigned jobs = 0;     //!< replay worker cap (0 = hardware)
     //! Miss-ratio-curve path for the sweep figures (--mrc-mode).
     MrcMode mrcMode = MrcMode::StackDistance;
-    bool mrcModeSet = false;  //!< --mrc-mode given on the command line
+    double scale = 0.5;    //!< dataset scale (WCRT_SCALE)
 };
 
 /** The options initBench() parsed. */
@@ -94,6 +71,13 @@ benchOptions()
 {
     static BenchOptions options;
     return options;
+}
+
+/** Dataset scale for bench runs (WCRT_SCALE, default 0.5). */
+inline double
+benchScale()
+{
+    return benchOptions().scale;
 }
 
 /** Print every workload name the shared rosters offer. */
@@ -113,69 +97,44 @@ printRoster(std::ostream &os)
 }
 
 /**
- * Parse the shared bench flags. Call first in every main();
- * `--list` and `--help` print and exit here.
+ * Parse the shared bench flags and WCRT_SCALE. Call first in every
+ * main(); `--list` and `--help` print and exit here, and a bad value
+ * or unknown flag exits with the FlagError status.
  *
- * @param uses BenchFlagUse mask of the flags this binary reads; a
- *        flag given on the command line but absent from the mask
- *        warns on stderr rather than being silently ignored.
+ * @param uses BenchFlagUse mask of the flags this binary registers.
  */
 inline void
 initBench(int argc, char **argv, unsigned uses = kBenchUsesAll)
 {
     BenchOptions &opt = benchOptions();
-    auto value = [&](const char *arg, const char *name,
-                     int &i) -> const char * {
-        size_t n = std::strlen(name);
-        if (std::strncmp(arg, name, n) != 0)
-            return nullptr;
-        if (arg[n] == '=')
-            return arg + n + 1;
-        if (arg[n] == '\0' && i + 1 < argc)
-            return argv[++i];
-        return nullptr;
+    const std::pair<unsigned, Flag> shared[] = {
+        {0, switchFlag("list", opt.list, "print the roster and exit")},
+        {kBenchUsesFilter,
+         textFlag("filter", opt.filter, "SUBSTR",
+                  "run only workloads whose name contains SUBSTR")},
+        {kBenchUsesTraceDir,
+         textFlag("trace-dir", opt.traceDir, "DIR",
+                  "trace cache (default: WCRT_TRACE_DIR or a temp dir)")},
+        {kBenchUsesJobs, countFlag("jobs", opt.jobs, 0, kMaxJobs,
+                                   "replay worker cap, 0 = hardware")},
+        {kBenchUsesMrcMode,
+         choiceFlag("mrc-mode", opt.mrcMode, parseMrcMode, "M",
+                    "stack, oracle or verify", "miss-ratio-curve path")},
     };
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strcmp(arg, "--list") == 0) {
-            opt.list = true;
-        } else if (std::strcmp(arg, "--help") == 0 ||
-                   std::strcmp(arg, "-h") == 0) {
-            std::cout << "usage: " << argv[0]
-                      << " [--filter=SUBSTR] [--list]"
-                         " [--trace-dir=DIR] [--jobs=N]";
-            if (uses & kBenchUsesMrcMode)
-                std::cout << " [--mrc-mode=stack|oracle|verify]";
-            std::cout << "\n";
+    FlagCommand cmd;
+    for (const auto &[bit, flag] : shared)
+        if (!bit || (uses & bit))
+            cmd.flags.push_back(flag);
+    try {
+        opt.scale = envScale();
+        if (parseFlags({cmd}, {argv + 1, argv + argc}).help) {
+            std::cout << flagHelp(argv[0], {cmd});
             std::exit(0);
-        } else if (const char *v = value(arg, "--filter", i)) {
-            opt.filter = v;
-        } else if (const char *v2 = value(arg, "--trace-dir", i)) {
-            opt.traceDir = v2;
-        } else if (const char *v3 = value(arg, "--jobs", i)) {
-            opt.jobs = static_cast<unsigned>(std::atoi(v3));
-        } else if (const char *v4 = value(arg, "--mrc-mode", i)) {
-            if (!parseMrcMode(v4, opt.mrcMode))
-                wcrt_fatal("unknown --mrc-mode: ", v4,
-                           " (stack, oracle or verify)");
-            opt.mrcModeSet = true;
-        } else {
-            wcrt_fatal("unknown bench argument: ", arg,
-                       " (try --help)");
         }
+    } catch (const FlagError &err) {
+        std::cerr << argv[0] << ": " << err.what() << "\n";
+        std::exit(err.status);
     }
-    auto warn_unused = [&](const char *flag) {
-        std::cerr << "warning: " << argv[0] << " ignores " << flag
-                  << " (flag parsed but not used by this bench)\n";
-    };
-    if (!opt.filter.empty() && !(uses & kBenchUsesFilter))
-        warn_unused("--filter");
-    if (!opt.traceDir.empty() && !(uses & kBenchUsesTraceDir))
-        warn_unused("--trace-dir");
-    if (opt.jobs != 0 && !(uses & kBenchUsesJobs))
-        warn_unused("--jobs");
-    if (opt.mrcModeSet && !(uses & kBenchUsesMrcMode))
-        warn_unused("--mrc-mode");
     if (opt.list) {
         printRoster(std::cout);
         std::exit(0);

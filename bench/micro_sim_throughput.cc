@@ -10,11 +10,13 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <iostream>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "base/flags.hh"
 #include "base/rng.hh"
 #include "sim/branch.hh"
 #include "sim/cache.hh"
@@ -770,11 +772,15 @@ main(int argc, char **argv)
             json_path = arg.substr(7);
         } else if (arg == "--json" && i + 1 < argc) {
             json_path = argv[++i];
-        } else if (arg.rfind("--jobs=", 0) == 0) {
-            g_jobs = static_cast<unsigned>(std::atoi(arg.c_str() + 7));
-            continue;
-        } else if (arg == "--jobs" && i + 1 < argc) {
-            g_jobs = static_cast<unsigned>(std::atoi(argv[++i]));
+        } else if (arg == "--jobs" || arg.rfind("--jobs=", 0) == 0) {
+            std::string v = arg != "--jobs" ? arg.substr(7)
+                            : i + 1 < argc ? argv[++i] : "";
+            if (!assignIf(toCount(v, 0, kMaxJobs), g_jobs)) {
+                std::cerr << argv[0] << ": bad --jobs '" << v
+                          << "' (expected " << rangeText(0, kMaxJobs)
+                          << ")\n";
+                return 1;
+            }
             continue;
         } else {
             args.push_back(std::move(arg));

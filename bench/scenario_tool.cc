@@ -1,12 +1,7 @@
 /**
  * @file
- * Command-line front end for `.scn` scenario files:
- *
- *     scenario_tool validate <file.scn>...
- *     scenario_tool expand   <file.scn> [--scale=S]
- *     scenario_tool run      <file.scn> [--json=FILE] [--jobs=N]
- *                            [--trace-dir=D] [--cell=I] [--scale=S]
- *                            [--io=M] [--verify-crc=M]
+ * Command-line front end for `.scn` scenario files, with the commands
+ * validate, expand and run (`--help` lists their flags).
  *
  * `validate` parses, resolves and expands every named file, printing
  * every problem found (the parser accumulates issues instead of
@@ -17,20 +12,18 @@
  * phases, machine replays), printing a table per cell and optionally
  * a machine-readable JSON report with full-precision curves.
  *
- * Exit status: 0 on success, 1 when validate finds issues or a run
- * fails, 2 on usage errors.
+ * Exit status: 0 on success, 1 when validate finds issues, a run
+ * fails or a flag value is bad, 2 on usage errors.
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "base/logging.hh"
+#include "base/flags.hh"
 #include "base/table.hh"
 #include "scenario/runner.hh"
 #include "scenario/scenario.hh"
@@ -39,56 +32,6 @@
 using namespace wcrt;
 
 namespace {
-
-int
-usage()
-{
-    std::cerr
-        << "usage:\n"
-           "  scenario_tool validate <file.scn>...\n"
-           "  scenario_tool expand   <file.scn> [--scale=S]\n"
-           "  scenario_tool run      <file.scn> [--json=FILE]"
-           " [--jobs=N]\n"
-           "                         [--trace-dir=D] [--cell=I]"
-           " [--scale=S]\n"
-           "\n"
-           "  --scale=S      base dataset scale (default: WCRT_SCALE\n"
-           "                 or 0.5); the scenario's scale-factor and\n"
-           "                 scale axis still apply on top\n"
-           "  --json=FILE    write a JSON report of every cell run\n"
-           "  --jobs=N       worker cap (0 = hardware threads)\n"
-           "  --trace-dir=D  trace cache directory (default:\n"
-           "                 WCRT_TRACE_DIR or the system temp dir)\n"
-           "  --cell=I       run only the cell with index I\n"
-           "  --io=M         trace transport: auto (default; mmap\n"
-           "                 when available), stream, mmap\n"
-           "  --verify-crc=M chunk CRC policy on replay: always\n"
-           "                 (default), once, never\n";
-    return 2;
-}
-
-/** Value of `--name=V` or `--name V`, or null when `arg` is not it. */
-const char *
-flagValue(const char *arg, const char *name, int argc, char **argv,
-          int &i)
-{
-    size_t n = std::strlen(name);
-    if (std::strncmp(arg, name, n) != 0)
-        return nullptr;
-    if (arg[n] == '=')
-        return arg + n + 1;
-    if (arg[n] == '\0' && i + 1 < argc)
-        return argv[++i];
-    return nullptr;
-}
-
-double
-envBaseScale()
-{
-    if (const char *s = std::getenv("WCRT_SCALE"))
-        return std::atof(s);
-    return 0.5;
-}
 
 std::string
 jsonEscape(const std::string &s)
@@ -113,17 +56,14 @@ jsonDouble(double v)
 // ---------------------------------------------------------------- validate
 
 int
-cmdValidate(int argc, char **argv)
+cmdValidate(const std::vector<std::string> &files, double base_scale)
 {
-    if (argc < 3)
-        return usage();
     int bad = 0;
-    for (int i = 2; i < argc; ++i) {
-        ScenarioParse parse = loadScenario(argv[i]);
+    for (const std::string &file : files) {
+        ScenarioParse parse = loadScenario(file);
         std::vector<ScenarioCell> cells;
         if (parse.ok())
-            cells = expandScenario(parse.spec, envBaseScale(),
-                                   parse.issues);
+            cells = expandScenario(parse.spec, base_scale, parse.issues);
         if (parse.ok() && cells.empty())
             parse.issues.push_back(
                 {0, "matrix expands to no cells"});
@@ -132,7 +72,7 @@ cmdValidate(int argc, char **argv)
             ++bad;
             continue;
         }
-        std::cout << argv[i] << ": OK (" << toString(parse.spec.kind)
+        std::cout << file << ": OK (" << toString(parse.spec.kind)
                   << " '" << parse.spec.name << "', " << cells.size()
                   << (cells.size() == 1 ? " cell)" : " cells)")
                   << "\n";
@@ -143,19 +83,9 @@ cmdValidate(int argc, char **argv)
 // ------------------------------------------------------------------ expand
 
 int
-cmdExpand(int argc, char **argv)
+cmdExpand(const std::string &file, double base_scale)
 {
-    if (argc < 3)
-        return usage();
-    double base_scale = envBaseScale();
-    for (int i = 3; i < argc; ++i) {
-        if (const char *v =
-                flagValue(argv[i], "--scale", argc, argv, i))
-            base_scale = std::atof(v);
-        else
-            return usage();
-    }
-    ScenarioParse parse = loadScenario(argv[2]);
+    ScenarioParse parse = loadScenario(file);
     std::vector<ScenarioCell> cells;
     if (parse.ok())
         cells = expandScenario(parse.spec, base_scale, parse.issues);
@@ -336,49 +266,10 @@ printReplayCell(const CellResult &r)
 }
 
 int
-cmdRun(int argc, char **argv)
+cmdRun(const std::string &file, const RunnerOptions &opt,
+       const std::string &json_path, std::optional<size_t> only_cell)
 {
-    if (argc < 3)
-        return usage();
-    RunnerOptions opt;
-    opt.baseScale = envBaseScale();
-    std::string json_path;
-    long only_cell = -1;
-    for (int i = 3; i < argc; ++i) {
-        if (const char *v =
-                flagValue(argv[i], "--json", argc, argv, i))
-            json_path = v;
-        else if (const char *v2 =
-                     flagValue(argv[i], "--jobs", argc, argv, i))
-            opt.jobs = static_cast<unsigned>(std::atoi(v2));
-        else if (const char *v3 = flagValue(argv[i], "--trace-dir",
-                                            argc, argv, i))
-            opt.traceDir = v3;
-        else if (const char *v4 =
-                     flagValue(argv[i], "--cell", argc, argv, i))
-            only_cell = std::atol(v4);
-        else if (const char *v5 =
-                     flagValue(argv[i], "--scale", argc, argv, i))
-            opt.baseScale = std::atof(v5);
-        else if (const char *v6 =
-                     flagValue(argv[i], "--io", argc, argv, i)) {
-            ReaderOptions ropts = defaultReaderOptions();
-            if (!parseTraceIo(v6, ropts.io))
-                wcrt_fatal("unknown --io '", v6,
-                           "' (auto, stream or mmap)");
-            setDefaultReaderOptions(ropts);
-        } else if (const char *v7 = flagValue(argv[i], "--verify-crc",
-                                              argc, argv, i)) {
-            ReaderOptions ropts = defaultReaderOptions();
-            if (!parseCrcMode(v7, ropts.crc))
-                wcrt_fatal("unknown --verify-crc '", v7,
-                           "' (always, once or never)");
-            setDefaultReaderOptions(ropts);
-        } else
-            return usage();
-    }
-
-    ScenarioParse parse = loadScenario(argv[2]);
+    ScenarioParse parse = loadScenario(file);
     std::vector<ScenarioCell> cells;
     if (parse.ok())
         cells = expandScenario(parse.spec, opt.baseScale,
@@ -388,12 +279,11 @@ cmdRun(int argc, char **argv)
         return 1;
     }
     if (cells.empty()) {
-        std::cerr << argv[2] << ": matrix expands to no cells\n";
+        std::cerr << file << ": matrix expands to no cells\n";
         return 1;
     }
-    if (only_cell >= 0 &&
-        static_cast<size_t>(only_cell) >= cells.size()) {
-        std::cerr << "--cell=" << only_cell << " out of range (0.."
+    if (only_cell && *only_cell >= cells.size()) {
+        std::cerr << "--cell=" << *only_cell << " out of range (0.."
                   << cells.size() - 1 << ")\n";
         return 1;
     }
@@ -404,8 +294,7 @@ cmdRun(int argc, char **argv)
               << (cells.size() == 1 ? " cell" : " cells")
               << ", seed " << parse.spec.seed << ") ===\n";
     for (const ScenarioCell &cell : cells) {
-        if (only_cell >= 0 &&
-            cell.index != static_cast<size_t>(only_cell))
+        if (only_cell && cell.index != *only_cell)
             continue;
         std::cout << "\n-- cell " << cell.index << ": " << cell.label
                   << "\n\n";
@@ -439,14 +328,50 @@ cmdRun(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    if (argc < 2)
-        return usage();
-    std::string cmd = argv[1];
-    if (cmd == "validate")
-        return cmdValidate(argc, argv);
-    if (cmd == "expand")
-        return cmdExpand(argc, argv);
-    if (cmd == "run")
-        return cmdRun(argc, argv);
-    return usage();
+    RunnerOptions opt;
+    std::string json_path;
+    std::optional<size_t> only_cell;
+    ReaderOptions reader = defaultReaderOptions();
+    try {
+        opt.baseScale = envScale();
+        Flag scale = realFlag("scale", opt.baseScale, kMinScale, kMaxScale,
+                              "base dataset scale (WCRT_SCALE or 0.5); the"
+                              " scale-factor and scale axis still apply");
+        const std::vector<FlagCommand> commands = {
+            {"validate", "<file.scn>...", 1, SIZE_MAX, {}},
+            {"expand", "<file.scn>", 1, 1, {scale}},
+            {"run", "<file.scn>", 1, 1,
+             {textFlag("json", json_path, "FILE",
+                       "write a JSON report of every cell run"),
+              countFlag("jobs", opt.jobs, 0, kMaxJobs, "worker cap, 0 = all"),
+              textFlag("trace-dir", opt.traceDir, "DIR",
+                       "trace cache (default: WCRT_TRACE_DIR or temp dir)"),
+              choiceFlag("cell", only_cell,
+                         [](const std::string &v, std::optional<size_t> &c) {
+                             return assignIf(toCount(v, 0, UINT32_MAX), c);
+                         },
+                         "N", rangeText(0, UINT32_MAX),
+                         "run only the cell with this index"),
+              scale,
+              choiceFlag("io", reader.io, parseTraceIo, "M",
+                         "auto, stream or mmap", "trace transport"),
+              choiceFlag("verify-crc", reader.crc, parseCrcMode, "M",
+                         "always, once or never", "chunk CRC policy")}},
+        };
+        FlagArgs args = parseFlags(commands, {argv + 1, argv + argc});
+        if (args.help) {
+            std::cout << flagHelp("scenario_tool", commands);
+            return 0;
+        }
+        setDefaultReaderOptions(reader);
+        const std::string &cmd = args.command->name;
+        if (cmd == "validate")
+            return cmdValidate(args.positional, opt.baseScale);
+        if (cmd == "expand")
+            return cmdExpand(args.positional[0], opt.baseScale);
+        return cmdRun(args.positional[0], opt, json_path, only_cell);
+    } catch (const FlagError &err) {
+        std::cerr << "scenario_tool: " << err.what() << "\n";
+        return err.status;
+    }
 }

@@ -16,20 +16,11 @@
  * (sim/corun) to quantify interference between a latency-critical
  * service and a batch job.
  *
- * Flags (own parser — this binary does not take the shared bench
- * flags, and says so rather than silently ignoring them):
- *
- *     --json FILE   also emit google-benchmark-shaped JSON. Rows with
- *                   items_per_second (deterministic jobs=1 closed-loop
- *                   throughput) feed the CI perf gate; latency rows
- *                   carry p99 as counters only, so the gate skips
- *                   their noisy values.
- *     --target T    one target (kv-get, sql-filter, workload:<name>);
- *                   default runs kv-get and sql-filter.
- *     --actors N    concurrent sessions (default 4).
- *     --jobs N      executor cap on the shared pool (0 = hardware).
- *     --ops N       steady-phase requests per actor (0 = per-target
- *                   default).
+ * `--help` lists the flags (its own table, not the shared bench
+ * flags). With `--json FILE`, rows with items_per_second
+ * (deterministic jobs=1 closed-loop throughput) feed the CI perf gate;
+ * latency rows carry p99 as counters only, so the gate skips their
+ * noisy values.
  *
  * Dataset scale comes from WCRT_SCALE (default 0.5), like every other
  * bench binary.
@@ -38,7 +29,6 @@
 #include <cctype>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -46,7 +36,7 @@
 #include <thread>
 #include <vector>
 
-#include "base/logging.hh"
+#include "base/flags.hh"
 #include "base/table.hh"
 #include "loadgen/orchestrator.hh"
 #include "loadgen/targets.hh"
@@ -64,59 +54,36 @@ struct Options
     unsigned actors = 4;
     unsigned jobs = 0;
     uint64_t ops = 0;     //!< 0 = per-target default
+    double scale = 0.5;   //!< WCRT_SCALE
 };
 
+/** The flags and WCRT_SCALE; `--help` and a FlagError exit here. */
 Options
 parseArgs(int argc, char **argv)
 {
     Options opt;
-    auto value = [&](const char *arg, const char *name,
-                     int &i) -> const char * {
-        size_t n = std::strlen(name);
-        if (std::strncmp(arg, name, n) != 0)
-            return nullptr;
-        if (arg[n] == '=')
-            return arg + n + 1;
-        if (arg[n] == '\0' && i + 1 < argc)
-            return argv[++i];
-        return nullptr;
-    };
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strcmp(arg, "--help") == 0 ||
-            std::strcmp(arg, "-h") == 0) {
-            std::cout << "usage: " << argv[0]
-                      << " [--json FILE] [--target T] [--actors N]"
-                         " [--jobs N] [--ops N]\n"
-                         "targets: kv-get, sql-filter,"
-                         " workload:<roster name>\n";
+    FlagCommand cmd{"", "", 0, 0, {
+        textFlag("json", opt.jsonPath, "FILE",
+                 "also emit google-benchmark-shaped JSON"),
+        textFlag("target", opt.target, "T",
+                 "kv-get, sql-filter or workload:<name> (default: both"
+                 " kv-get and sql-filter)"),
+        countFlag("actors", opt.actors, 1, kMaxJobs, "concurrent sessions"),
+        countFlag("jobs", opt.jobs, 0, kMaxJobs, "executor cap, 0 = all"),
+        countFlag("ops", opt.ops, 0, UINT64_MAX,
+                  "steady-phase requests per actor, 0 = per target"),
+    }};
+    try {
+        opt.scale = envScale();
+        if (parseFlags({cmd}, {argv + 1, argv + argc}).help) {
+            std::cout << flagHelp(argv[0], {cmd});
             std::exit(0);
-        } else if (const char *v = value(arg, "--json", i)) {
-            opt.jsonPath = v;
-        } else if (const char *v2 = value(arg, "--target", i)) {
-            opt.target = v2;
-        } else if (const char *v3 = value(arg, "--actors", i)) {
-            opt.actors = static_cast<unsigned>(std::atoi(v3));
-        } else if (const char *v4 = value(arg, "--jobs", i)) {
-            opt.jobs = static_cast<unsigned>(std::atoi(v4));
-        } else if (const char *v5 = value(arg, "--ops", i)) {
-            opt.ops = static_cast<uint64_t>(std::atoll(v5));
-        } else {
-            wcrt_fatal("unknown service_latency argument: ", arg,
-                       " (try --help)");
         }
+    } catch (const FlagError &err) {
+        std::cerr << argv[0] << ": " << err.what() << "\n";
+        std::exit(err.status);
     }
-    if (opt.actors == 0)
-        wcrt_fatal("--actors must be at least 1");
     return opt;
-}
-
-double
-benchScale()
-{
-    if (const char *s = std::getenv("WCRT_SCALE"))
-        return std::atof(s);
-    return 0.5;
 }
 
 /** Steady-phase requests per actor when --ops is not given. */
@@ -208,7 +175,7 @@ rowKey(const std::string &target)
 void
 runTarget(const std::string &name, const Options &opt, Table &t)
 {
-    double scale = benchScale();
+    const double scale = opt.scale;
     uint64_t steady_ops = opt.ops ? opt.ops : defaultOps(name);
 
     // Per-actor service capacity mu1, from a strictly serial closed
@@ -289,9 +256,8 @@ runTarget(const std::string &name, const Options &opt, Table &t)
  * sharing the modelled L3.
  */
 void
-runCoRun()
+runCoRun(double scale)
 {
-    double scale = benchScale();
     auto record_stream = [&](const char *name, uint64_t ops) {
         auto target = makeTrafficTarget(name, scale);
         OrchestratorConfig cfg;
@@ -338,7 +304,7 @@ main(int argc, char **argv)
 {
     Options opt = parseArgs(argc, argv);
     std::cout << "=== Service latency under load (scale "
-              << benchScale() << ", actors " << opt.actors
+              << opt.scale << ", actors " << opt.actors
               << ", jobs "
               << (opt.jobs ? std::to_string(opt.jobs) : "hardware")
               << ") ===\n\n";
@@ -356,7 +322,7 @@ main(int argc, char **argv)
     std::cout << "\n";
 
     if (opt.target.empty())
-        runCoRun();
+        runCoRun(opt.scale);
 
     if (!opt.jsonPath.empty()) {
         emitJson(opt.jsonPath);

@@ -1,25 +1,10 @@
 /**
  * @file
- * Command-line front end for `.wtrace` files:
- *
- *     trace_tool record <workload> <out.wtrace> [--scale=S]
- *     trace_tool stats  <file.wtrace>
- *     trace_tool dump   <file.wtrace> [--limit=N]
- *     trace_tool replay <file.wtrace> [--machine=LIST] [--jobs=N]
- *     trace_tool mrc    <file.wtrace> [--kind=K] [--mode=M]
- *                       [--sizes=CSV] [--assoc=N] [--line=N]
- *                       [--jobs=N] [--json]
- *     trace_tool serve  <workload>[,<workload>...] --ring=NAME
- *                       [--scale=S] [--ring-kb=KB] [--policy=P]
- *                       [--timeout-ms=T] [--wait-ms=T]
- *                       [--heartbeat-ms=T]
- *     trace_tool attach --ring=NAME [--producers=N] [--machine=LIST]
- *                       [--mrc] [--kind=K] [--sizes=CSV] [--line=N]
- *                       [--jobs=N] [--timeout-ms=T]
- *
- * Every command also accepts `--io=auto|stream|mmap` and
- * `--verify-crc=always|once|never`, which set the process-wide
- * ReaderOptions before any trace is opened (see
+ * Command-line front end for `.wtrace` files: `trace_tool <command>`
+ * with record, stats, dump, replay, mrc, serve or attach. `--help`
+ * prints each command's arguments and flags from commandTable(). Every
+ * command also takes `--io` and `--verify-crc`, which set the
+ * process-wide ReaderOptions before any trace is opened (see
  * tracefile/trace_source.hh for the trust ladder).
  *
  * `record` executes one roster workload and captures its op stream;
@@ -43,21 +28,19 @@
  * stack-distance MRC under `--mrc`.
  */
 
-#include <bit>
-#include <cerrno>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <map>
 #include <string>
 #include <vector>
 
-#include "base/logging.hh"
+#include "base/flags.hh"
+#include "base/strings.hh"
 #include "base/table.hh"
 #include "core/profiler.hh"
+#include "scenario/scenario.hh"
 #include "sim/stack_distance.hh"
 #include "trace/mix_counter.hh"
 #include "tracefile/capture.hh"
@@ -71,148 +54,117 @@ using namespace wcrt;
 
 namespace {
 
-int
-usage()
+/** Every command's flag targets; a command's table names its subset. */
+struct Options
 {
-    std::cerr
-        << "usage:\n"
-           "  trace_tool record <workload> <out.wtrace> [--scale=S]\n"
-           "  trace_tool stats  <file.wtrace>\n"
-           "  trace_tool dump   <file.wtrace> [--limit=N]\n"
-           "  trace_tool replay <file.wtrace> [--machine=LIST]"
-           " [--jobs=N]\n"
-           "  trace_tool mrc    <file.wtrace> [--kind=K] [--mode=M]\n"
-           "                    [--sizes=CSV] [--assoc=N] [--line=N]\n"
-           "                    [--jobs=N] [--json]\n"
-           "  trace_tool serve  <workload>[,<workload>...] --ring=NAME\n"
-           "                    [--scale=S] [--ring-kb=KB] [--policy=P]\n"
-           "                    [--timeout-ms=T] [--wait-ms=T]\n"
-           "                    [--heartbeat-ms=T]\n"
-           "  trace_tool attach --ring=NAME [--producers=N]\n"
-           "                    [--machine=LIST] [--mrc] [--kind=K]\n"
-           "                    [--sizes=CSV] [--line=N] [--jobs=N]\n"
-           "                    [--timeout-ms=T]\n"
-           "\n"
-           "  --machine=LIST  comma-separated subset of: xeon, atom,\n"
-           "                  sim<KB> (e.g. sim32); default xeon,atom\n"
-           "  --ring=NAME     shm ring name; N workloads/producers use\n"
-           "                  NAME.0 .. NAME.N-1\n"
-           "  --ring-kb=KB    ring data capacity per producer\n"
-           "                  (default 1024, rounded to a power of 2)\n"
-           "  --policy=P      producer backpressure: block (default,\n"
-           "                  lossless) or drop (lossy, non-blocking)\n"
-           "  --producers=N   rings to drain (default 1)\n"
-           "  --timeout-ms=T  serve: drain timeout after streaming;\n"
-           "                  attach: ring-appearance timeout\n"
-           "                  (default 10000)\n"
-           "  --wait-ms=T     serve: max wait for the first analyzer\n"
-           "                  when a full ring blocks capture before\n"
-           "                  anyone has attached (default 120000)\n"
-           "  --heartbeat-ms=T serve: peer-death threshold stored in\n"
-           "                  the ring superblock (default 2000)\n"
-           "  --kind=K        instr (default), data or unified\n"
-           "  --mode=M        stack (default), oracle or verify\n"
-           "  --sizes=CSV     capacity ladder in KB (default: the\n"
-           "                  paper's 16..8192 doubling ladder)\n"
-           "  --assoc=N       oracle associativity (default 8)\n"
-           "  --line=N        line bytes (default 64)\n"
-           "  --io=M          trace transport for any command: auto\n"
-           "                  (default; mmap when available), stream,\n"
-           "                  mmap\n"
-           "  --verify-crc=M  chunk CRC policy: always (default), once\n"
-           "                  (skip re-verifying traces this process\n"
-           "                  already validated), never\n"
-           "  (run any bench binary with --list for workload names)\n";
-    return 2;
-}
-
-/** Value of `--name=V` or `--name V`, or null when `arg` is not it. */
-const char *
-flagValue(const char *arg, const char *name, int argc, char **argv,
-          int &i)
-{
-    size_t n = std::strlen(name);
-    if (std::strncmp(arg, name, n) != 0)
-        return nullptr;
-    if (arg[n] == '=')
-        return arg + n + 1;
-    if (arg[n] == '\0' && i + 1 < argc)
-        return argv[++i];
-    return nullptr;
-}
-
-/**
- * Strictly parse a numeric flag value into [min, max], fatal on
- * anything else — strtoull would silently wrap "--producers=-1" into
- * ~1.8e19 and drive allocations with it.
- */
-uint64_t
-parseCount(const char *flag, const char *value, uint64_t min,
-           uint64_t max)
-{
-    char *end = nullptr;
-    errno = 0;
-    unsigned long long v = std::strtoull(value, &end, 10);
-    if (*value == '\0' || *end != '\0' || value[0] == '-' ||
-        errno == ERANGE || v < min || v > max)
-        wcrt_fatal("bad ", flag, " '", value, "' (expected ", min,
-                   "..", max, ")");
-    return v;
-}
-
-/** Largest accepted --assoc, --line, and capacity in KB (--sizes
- *  entries, --machine=sim<KB>). */
-constexpr uint64_t kMaxAssoc = 1 << 16;
-constexpr uint64_t kMaxLineBytes = 1 << 16;
-constexpr uint64_t kMaxSizeKb = 1 << 22;
-/** Largest accepted --jobs: a cap on the shared pool, not a spawn. */
-constexpr uint64_t kMaxJobs = 4096;
-
-/** --jobs value: 0 (every hardware thread) up to kMaxJobs. */
-unsigned
-parseJobs(const char *value)
-{
-    return static_cast<unsigned>(parseCount("--jobs", value, 0, kMaxJobs));
-}
-
-/** --line value: a power of two up to kMaxLineBytes. */
-uint32_t
-parseLine(const char *value)
-{
-    uint64_t bytes = parseCount("--line", value, 1, kMaxLineBytes);
-    if (!std::has_single_bit(bytes))
-        wcrt_fatal("bad --line '", value, "' (expected a power of two)");
-    return static_cast<uint32_t>(bytes);
-}
-
-/**
- * --sizes value: comma-separated capacities in KB, each strictly
- * parsed. An empty entry ("16,,64", a trailing comma) is rejected.
- */
-std::vector<uint32_t>
-parseSizes(const char *value)
-{
-    std::vector<uint32_t> sizes;
-    std::string list = value;
-    for (size_t pos = 0;;) {
-        size_t comma = list.find(',', pos);
-        std::string tok = list.substr(pos, comma - pos);
-        sizes.push_back(static_cast<uint32_t>(
-            parseCount("--sizes", tok.c_str(), 1, kMaxSizeKb)));
-        if (comma == std::string::npos)
-            return sizes;
-        pos = comma + 1;
-    }
-}
-
-SweepKind
-parseKindFlag(const char *value)
-{
+    double scale = 1.0;
+    uint64_t limit = 32;
+    std::vector<MachineConfig> machines{xeonE5645(), atomD510()};
+    unsigned jobs = 0;
     SweepKind kind = SweepKind::Instruction;
-    if (!parseSweepKind(value, kind))
-        wcrt_fatal("unknown --kind '", value,
-                   "' (instr, data or unified)");
-    return kind;
+    MrcMode mode = MrcMode::StackDistance;
+    std::vector<uint32_t> sizes = paperSweepSizesKb();
+    uint32_t assoc = 8;
+    uint32_t lineBytes = 64;
+    bool json = false;
+    std::string ring;
+    uint64_t ringKb = 1024;
+    ShmPolicy policy = ShmPolicy::Block;
+    uint64_t timeoutMs = 10000;
+    uint64_t waitMs = 120000;
+    uint64_t heartbeatMs = ShmRing::defaultHeartbeatTimeoutMs;
+    size_t producers = 1;
+    bool mrc = false;
+    ReaderOptions reader = defaultReaderOptions();
+};
+
+/** --machine: comma-separated names parseMachine() accepts. */
+bool
+parseMachineList(const std::string &list, std::vector<MachineConfig> &out)
+{
+    out.clear();
+    for (const std::string &tok : split(list, ',')) {
+        out.emplace_back();
+        if (!parseMachine(tok, out.back()))
+            return false;
+    }
+    return true;
+}
+
+/** --sizes: capacities in KB; an empty entry ("16,,64") is rejected. */
+bool
+parseSizes(const std::string &list, std::vector<uint32_t> &out)
+{
+    out.clear();
+    for (const std::string &tok : split(list, ',')) {
+        std::optional<uint64_t> kb = toCount(tok, 1, kMaxSizeKb);
+        if (!kb)
+            return false;
+        out.push_back(static_cast<uint32_t>(*kb));
+    }
+    return true;
+}
+
+/** The commands and their flag tables, bound to `o`. */
+std::vector<FlagCommand>
+commandTable(Options &o)
+{
+    constexpr uint64_t kMaxMs = 86400000;
+    const std::string kb = rangeText(1, kMaxSizeKb);
+    Flag scale = realFlag("scale", o.scale, kMinScale, kMaxScale,
+                          "dataset scale");
+    Flag machine = choiceFlag("machine", o.machines, parseMachineList,
+                              "LIST", "xeon, atom, sim<KB> with KB " + kb,
+                              "comma-separated machines (default xeon,atom)");
+    Flag jobs = countFlag("jobs", o.jobs, 0, kMaxJobs, "worker cap, 0 = all");
+    Flag kind = choiceFlag("kind", o.kind, parseSweepKind, "K",
+                           "instr, data or unified", "stream to profile");
+    Flag sizes = choiceFlag("sizes", o.sizes, parseSizes, "CSV", "each " + kb,
+                            "capacities in KB (default: the paper's ladder)");
+    Flag line = choiceFlag("line", o.lineBytes, parseLineBytes, "N",
+                           "a power of two in " + rangeText(1, kMaxLineBytes),
+                           "line bytes");
+    Flag ring = textFlag("ring", o.ring, "NAME",
+                         "shm ring; N rings are NAME.0 .. NAME.N-1");
+    Flag timeout = countFlag("timeout-ms", o.timeoutMs, 1, kMaxMs,
+                             "serve: drain timeout; attach: ring wait");
+    // Every command takes the reader-policy flags.
+    Flag io = choiceFlag("io", o.reader.io, parseTraceIo, "M",
+                         "auto, stream or mmap", "trace transport");
+    Flag crc = choiceFlag("verify-crc", o.reader.crc, parseCrcMode, "M",
+                          "always, once or never", "chunk CRC policy");
+    return {
+        {"record", "<workload> <out.wtrace>", 2, 2, {scale, io, crc}},
+        {"stats", "<file.wtrace>", 1, 1, {io, crc}},
+        {"dump", "<file.wtrace>", 1, 1,
+         {countFlag("limit", o.limit, 0, UINT64_MAX, "ops to print"), io,
+          crc}},
+        {"replay", "<file.wtrace>", 1, 1, {machine, jobs, io, crc}},
+        {"mrc", "<file.wtrace>", 1, 1,
+         {kind,
+          choiceFlag("mode", o.mode, parseMrcMode, "M",
+                     "stack, oracle or verify", "miss-ratio-curve path"),
+          sizes, countFlag("assoc", o.assoc, 1, kMaxAssoc, "oracle ways"),
+          line, jobs, switchFlag("json", o.json, "print the curve as JSON"),
+          io, crc}},
+        {"serve", "<workload>[,<workload>...]", 1, 1,
+         {ring, scale,
+          countFlag("ring-kb", o.ringKb, 1, 1 << 20,
+                    "ring capacity per producer, rounded to 2^k"),
+          choiceFlag("policy", o.policy, parseShmPolicy, "P",
+                     "block or drop", "backpressure: lossless or lossy"),
+          timeout,
+          countFlag("wait-ms", o.waitMs, 1, kMaxMs,
+                    "serve: wait for a first analyzer on a full ring"),
+          countFlag("heartbeat-ms", o.heartbeatMs, 1, kMaxMs,
+                    "serve: peer-death threshold"),
+          io, crc}},
+        {"attach", "", 0, 0,
+         {ring,
+          countFlag("producers", o.producers, 1, kMaxJobs, "rings to drain"),
+          machine, switchFlag("mrc", o.mrc, "print the miss-ratio curve"),
+          kind, sizes, line, jobs, timeout, io, crc}},
+    };
 }
 
 const char *
@@ -229,24 +181,12 @@ layerName(CodeLayer layer)
 }
 
 int
-cmdRecord(int argc, char **argv)
+cmdRecord(const std::string &name, const std::string &out,
+          const Options &opt)
 {
-    if (argc < 4)
-        return usage();
-    std::string name = argv[2];
-    std::string out = argv[3];
-    double scale = 1.0;
-    for (int i = 4; i < argc; ++i) {
-        if (const char *v = flagValue(argv[i], "--scale", argc, argv, i))
-            scale = std::atof(v);
-        else
-            return usage();
-    }
-
-    const WorkloadEntry &entry = findWorkload(name);
-    WorkloadPtr w = entry.make(scale);
-    CaptureResult res = captureTrace(*w, out, scale);
-    std::cout << "recorded " << name << " (scale " << scale << "): "
+    WorkloadPtr w = findWorkload(name).make(opt.scale);
+    CaptureResult res = captureTrace(*w, out, opt.scale);
+    std::cout << "recorded " << name << " (scale " << opt.scale << "): "
               << res.ops << " ops, " << res.fileBytes << " bytes -> "
               << out << "\n";
     return 0;
@@ -358,44 +298,6 @@ cmdDump(const std::string &path, uint64_t limit)
     return 0;
 }
 
-/** Split "a,b,c" into tokens (no empties for trailing commas). */
-std::vector<std::string>
-splitList(const std::string &list)
-{
-    std::vector<std::string> out;
-    for (size_t pos = 0; pos < list.size();) {
-        size_t comma = list.find(',', pos);
-        if (comma == std::string::npos)
-            comma = list.size();
-        if (comma > pos)
-            out.push_back(list.substr(pos, comma - pos));
-        pos = comma + 1;
-    }
-    return out;
-}
-
-/** Parse a --machine list ("" means the xeon,atom default). */
-std::vector<MachineConfig>
-parseMachineList(const std::string &machine_list)
-{
-    std::vector<MachineConfig> configs;
-    std::string list = machine_list.empty() ? "xeon,atom" : machine_list;
-    for (const std::string &tok : splitList(list)) {
-        if (tok == "xeon")
-            configs.push_back(xeonE5645());
-        else if (tok == "atom")
-            configs.push_back(atomD510());
-        else if (tok.rfind("sim", 0) == 0)
-            configs.push_back(atomInOrderSim(static_cast<uint32_t>(
-                parseCount("--machine sim<KB>", tok.c_str() + 3, 1,
-                           kMaxSizeKb))));
-        else
-            wcrt_fatal("unknown machine '", tok,
-                       "' (expected xeon, atom or sim<KB>)");
-    }
-    return configs;
-}
-
 /** Print the per-machine CpuReport table replay and attach share. */
 void
 printReplayTable(const std::vector<CpuReport> &reports)
@@ -416,17 +318,14 @@ printReplayTable(const std::vector<CpuReport> &reports)
 }
 
 int
-cmdReplay(const std::string &path, const std::string &machine_list,
-          unsigned jobs)
+cmdReplay(const std::string &path, const Options &opt)
 {
-    std::vector<MachineConfig> configs = parseMachineList(machine_list);
-
     TraceReader probe(path);
     std::cout << "replaying " << probe.meta().workload << " ("
-              << probe.opCount() << " ops) on " << configs.size()
-              << " configs, " << replayWorkers(jobs) << " workers\n\n";
+              << probe.opCount() << " ops) on " << opt.machines.size()
+              << " configs, " << replayWorkers(opt.jobs) << " workers\n\n";
 
-    auto reports = replayOnConfigs(path, configs, jobs);
+    auto reports = replayOnConfigs(path, opt.machines, opt.jobs);
     printReplayTable(reports);
     return 0;
 }
@@ -454,58 +353,22 @@ jsonDouble(double v)
 }
 
 int
-cmdMrc(int argc, char **argv)
+cmdMrc(const std::string &path, const Options &opt)
 {
-    std::string path = argv[2];
-    SweepKind kind = SweepKind::Instruction;
-    MrcMode mode = MrcMode::StackDistance;
-    std::vector<uint32_t> sizes = paperSweepSizesKb();
-    uint32_t assoc = 8;
-    uint32_t line_bytes = 64;
-    unsigned jobs = 0;
-    bool json = false;
-    for (int i = 3; i < argc; ++i) {
-        if (const char *v = flagValue(argv[i], "--kind", argc, argv, i)) {
-            kind = parseKindFlag(v);
-        } else if (const char *v2 =
-                       flagValue(argv[i], "--mode", argc, argv, i)) {
-            if (!parseMrcMode(v2, mode))
-                wcrt_fatal("unknown --mode '", v2,
-                           "' (stack, oracle or verify)");
-        } else if (const char *v3 =
-                       flagValue(argv[i], "--sizes", argc, argv, i)) {
-            sizes = parseSizes(v3);
-        } else if (const char *v4 =
-                       flagValue(argv[i], "--assoc", argc, argv, i)) {
-            assoc = static_cast<uint32_t>(
-                parseCount("--assoc", v4, 1, kMaxAssoc));
-        } else if (const char *v5 =
-                       flagValue(argv[i], "--line", argc, argv, i)) {
-            line_bytes = parseLine(v5);
-        } else if (const char *v6 =
-                       flagValue(argv[i], "--jobs", argc, argv, i)) {
-            jobs = parseJobs(v6);
-        } else if (std::strcmp(argv[i], "--json") == 0) {
-            json = true;
-        } else {
-            return usage();
-        }
-    }
-
     TraceReader probe(path);
     std::string workload = probe.meta().workload;
-    MrcResult r = replaySweepLadder(path, kind, sizes, mode, jobs,
-                                    assoc, line_bytes);
+    MrcResult r = replaySweepLadder(path, opt.kind, opt.sizes, opt.mode,
+                                    opt.jobs, opt.assoc, opt.lineBytes);
 
-    if (json) {
+    if (opt.json) {
         std::cout << "{\n"
                   << "  \"trace\": \"" << jsonEscape(path) << "\",\n"
                   << "  \"workload\": \"" << jsonEscape(workload)
                   << "\",\n"
-                  << "  \"kind\": \"" << toString(kind) << "\",\n"
-                  << "  \"mode\": \"" << toString(mode) << "\",\n"
-                  << "  \"assoc\": " << assoc << ",\n"
-                  << "  \"line_bytes\": " << line_bytes << ",\n";
+                  << "  \"kind\": \"" << toString(opt.kind) << "\",\n"
+                  << "  \"mode\": \"" << toString(opt.mode) << "\",\n"
+                  << "  \"assoc\": " << opt.assoc << ",\n"
+                  << "  \"line_bytes\": " << opt.lineBytes << ",\n";
         auto emit_list = [](const char *name, auto &&fmt, size_t n,
                             bool last = false) {
             std::cout << "  \"" << name << "\": [";
@@ -514,9 +377,9 @@ cmdMrc(int argc, char **argv)
             std::cout << "]" << (last ? "\n" : ",\n");
         };
         emit_list("sizes_kb",
-                  [&](size_t i) { return std::to_string(sizes[i]); },
-                  sizes.size());
-        if (mode == MrcMode::Verify) {
+                  [&](size_t i) { return std::to_string(opt.sizes[i]); },
+                  opt.sizes.size());
+        if (opt.mode == MrcMode::Verify) {
             emit_list("miss_ratio",
                       [&](size_t i) { return jsonDouble(r.ratios[i]); },
                       r.ratios.size());
@@ -537,31 +400,31 @@ cmdMrc(int argc, char **argv)
     }
 
     std::cout << "miss-ratio curve of " << workload << " ("
-              << toString(kind)
-              << ", " << toString(mode) << " mode, line " << line_bytes
+              << toString(opt.kind)
+              << ", " << toString(opt.mode) << " mode, line " << opt.lineBytes
               << "B"
-              << (mode == MrcMode::StackDistance
+              << (opt.mode == MrcMode::StackDistance
                       ? std::string(")")
-                      : ", oracle " + std::to_string(assoc) + "-way)")
+                      : ", oracle " + std::to_string(opt.assoc) + "-way)")
               << "\n\n";
     std::vector<std::string> header{"cache KB", "miss%"};
-    if (mode == MrcMode::Verify) {
+    if (opt.mode == MrcMode::Verify) {
         header[1] = "stack miss%";
         header.push_back("oracle miss%");
         header.push_back("|gap|%");
     }
     Table t(header);
-    for (size_t i = 0; i < sizes.size(); ++i) {
-        t.cell(static_cast<uint64_t>(sizes[i]));
+    for (size_t i = 0; i < opt.sizes.size(); ++i) {
+        t.cell(static_cast<uint64_t>(opt.sizes[i]));
         t.cell(r.ratios[i] * 100.0, 3);
-        if (mode == MrcMode::Verify) {
+        if (opt.mode == MrcMode::Verify) {
             t.cell(r.oracleRatios[i] * 100.0, 3);
             t.cell(std::abs(r.ratios[i] - r.oracleRatios[i]) * 100.0, 3);
         }
         t.endRow();
     }
     t.print(std::cout);
-    if (mode == MrcMode::Verify)
+    if (opt.mode == MrcMode::Verify)
         std::cout << "max |stack - oracle| divergence: "
                   << formatFixed(r.maxDivergence * 100, 3) << "%\n";
     return 0;
@@ -575,47 +438,10 @@ ringNameAt(const std::string &base, size_t i, size_t n)
 }
 
 int
-cmdServe(int argc, char **argv)
+cmdServe(const std::string &list, const Options &opt)
 {
-    std::vector<std::string> workloads = splitList(argv[2]);
-    if (workloads.empty())
-        return usage();
-    std::string ring_base;
-    double scale = 1.0;
-    uint64_t ring_kb = 1024;
-    ShmPolicy policy = ShmPolicy::Block;
-    uint64_t timeout_ms = 10000;
-    uint64_t wait_ms = 120000;
-    uint64_t heartbeat_ms = ShmRing::defaultHeartbeatTimeoutMs;
-    for (int i = 3; i < argc; ++i) {
-        if (const char *v = flagValue(argv[i], "--ring", argc, argv, i))
-            ring_base = v;
-        else if (const char *v2 =
-                     flagValue(argv[i], "--scale", argc, argv, i))
-            scale = std::atof(v2);
-        else if (const char *v3 =
-                     flagValue(argv[i], "--ring-kb", argc, argv, i))
-            ring_kb = parseCount("--ring-kb", v3, 1, 1 << 20);
-        else if (const char *v4 =
-                     flagValue(argv[i], "--policy", argc, argv, i)) {
-            if (!parseShmPolicy(v4, policy))
-                wcrt_fatal("unknown --policy '", v4,
-                           "' (block or drop)");
-        } else if (const char *v5 = flagValue(argv[i], "--timeout-ms",
-                                              argc, argv, i)) {
-            timeout_ms = parseCount("--timeout-ms", v5, 1, 86400000);
-        } else if (const char *v6 = flagValue(argv[i], "--wait-ms",
-                                              argc, argv, i)) {
-            wait_ms = parseCount("--wait-ms", v6, 1, 86400000);
-        } else if (const char *v7 = flagValue(argv[i], "--heartbeat-ms",
-                                              argc, argv, i)) {
-            heartbeat_ms =
-                parseCount("--heartbeat-ms", v7, 1, 86400000);
-        } else {
-            return usage();
-        }
-    }
-    if (ring_base.empty())
+    std::vector<std::string> workloads = split(list, ',');
+    if (opt.ring.empty())
         wcrt_fatal("serve needs --ring=NAME");
     if (!shmAvailable())
         wcrt_fatal("shm rings are not supported on this platform");
@@ -627,23 +453,23 @@ cmdServe(int argc, char **argv)
     std::vector<ShmRing> rings;
     rings.reserve(n);
     for (size_t i = 0; i < n; ++i) {
-        std::string name = ringNameAt(ring_base, i, n);
+        std::string name = ringNameAt(opt.ring, i, n);
         ShmRing::unlink(name);
         rings.push_back(ShmRing::create(name, ShmRing::Role::Producer,
-                                        ring_kb * 1024, heartbeat_ms));
+                                        opt.ringKb * 1024, opt.heartbeatMs));
         // Beat from ring creation, not first push: parallelFor can
         // queue a workload behind busy pool workers (and setup alone
         // can outlast the timeout) — an attached analyzer must not
         // read the wait as producer death. And bound how long a full
         // ring may block capture while no analyzer has ever attached.
         rings.back().startHeartbeat();
-        rings.back().setNoConsumerTimeout(wait_ms);
+        rings.back().setNoConsumerTimeout(opt.waitMs);
         std::cout << "serving " << workloads[i] << " on shm ring "
-                  << name << " (" << ring_kb << " KB, "
-                  << toString(policy) << ")\n";
+                  << name << " (" << opt.ringKb << " KB, "
+                  << toString(opt.policy) << ")\n";
     }
     std::cout << "waiting for an analyzer: trace_tool attach --ring="
-              << ring_base << (n > 1 ? " --producers=" +
+              << opt.ring << (n > 1 ? " --producers=" +
                                            std::to_string(n)
                                      : std::string())
               << "\n\n";
@@ -656,9 +482,9 @@ cmdServe(int argc, char **argv)
         // down the siblings still streaming.
         try {
             const WorkloadEntry &entry = findWorkload(workloads[i]);
-            WorkloadPtr w = entry.make(scale);
-            results[i] = serveTrace(*w, rings[i], scale, policy);
-            rings[i].awaitDrained(timeout_ms);
+            WorkloadPtr w = entry.make(opt.scale);
+            results[i] = serveTrace(*w, rings[i], opt.scale, opt.policy);
+            rings[i].awaitDrained(opt.timeoutMs);
         } catch (const TraceFormatError &err) {
             errors[i] = err.what();
         }
@@ -678,82 +504,39 @@ cmdServe(int argc, char **argv)
                 std::cout << " (" << results[i].droppedChunks
                           << " chunks / " << results[i].droppedOps
                           << " ops dropped)";
-            std::cout << " -> " << ringNameAt(ring_base, i, n) << "\n";
+            std::cout << " -> " << ringNameAt(opt.ring, i, n) << "\n";
         }
-        ShmRing::unlink(ringNameAt(ring_base, i, n));
+        ShmRing::unlink(ringNameAt(opt.ring, i, n));
     }
     return rc;
 }
 
 int
-cmdAttach(int argc, char **argv)
+cmdAttach(const Options &opt)
 {
-    std::string ring_base;
-    size_t producers = 1;
-    std::string machines;
-    bool mrc = false;
-    SweepKind kind = SweepKind::Instruction;
-    std::vector<uint32_t> sizes = paperSweepSizesKb();
-    uint32_t line_bytes = 64;
-    unsigned jobs = 0;
-    uint64_t timeout_ms = 10000;
-    for (int i = 2; i < argc; ++i) {
-        if (const char *v = flagValue(argv[i], "--ring", argc, argv, i))
-            ring_base = v;
-        else if (const char *v2 =
-                     flagValue(argv[i], "--producers", argc, argv, i))
-            producers =
-                static_cast<size_t>(parseCount("--producers", v2, 1,
-                                               4096));
-        else if (const char *v3 =
-                     flagValue(argv[i], "--machine", argc, argv, i))
-            machines = v3;
-        else if (std::strcmp(argv[i], "--mrc") == 0)
-            mrc = true;
-        else if (const char *v4 =
-                     flagValue(argv[i], "--kind", argc, argv, i)) {
-            kind = parseKindFlag(v4);
-        } else if (const char *v5 =
-                       flagValue(argv[i], "--sizes", argc, argv, i)) {
-            sizes = parseSizes(v5);
-        } else if (const char *v6 =
-                       flagValue(argv[i], "--line", argc, argv, i)) {
-            line_bytes = parseLine(v6);
-        } else if (const char *v7 =
-                       flagValue(argv[i], "--jobs", argc, argv, i)) {
-            jobs = parseJobs(v7);
-        } else if (const char *v8 = flagValue(argv[i], "--timeout-ms",
-                                              argc, argv, i)) {
-            timeout_ms = parseCount("--timeout-ms", v8, 1, 86400000);
-        } else {
-            return usage();
-        }
-    }
-    if (ring_base.empty() || producers == 0)
-        wcrt_fatal("attach needs --ring=NAME (and --producers >= 1)");
+    if (opt.ring.empty())
+        wcrt_fatal("attach needs --ring=NAME");
     if (!shmAvailable())
         wcrt_fatal("shm rings are not supported on this platform");
-
-    std::vector<MachineConfig> configs = parseMachineList(machines);
 
     // Drain every ring first (rings in parallel — each drain is one
     // cheap memcpy loop), then analyze the buffered streams: analysis
     // replays must not stall a producer on a full ring.
     std::vector<std::shared_ptr<const std::vector<uint8_t>>> streams(
-        producers);
-    std::vector<bool> peer_died(producers);
-    parallelFor(producers, [&](size_t i) {
+        opt.producers);
+    std::vector<bool> peer_died(opt.producers);
+    parallelFor(opt.producers, [&](size_t i) {
         ShmRing ring =
-            ShmRing::open(ringNameAt(ring_base, i, producers),
-                          ShmRing::Role::Consumer, timeout_ms);
+            ShmRing::open(ringNameAt(opt.ring, i, opt.producers),
+                          ShmRing::Role::Consumer, opt.timeoutMs);
         ShmSource drained(ring);
         streams[i] = drained.payload();
         peer_died[i] = drained.peerDied();
-    }, jobs);
+    }, opt.jobs);
 
     int rc = 0;
-    for (size_t i = 0; i < producers; ++i) {
-        std::string name = ringNameAt(ring_base, i, producers);
+    for (size_t i = 0; i < opt.producers; ++i) {
+        std::string name = ringNameAt(opt.ring, i, opt.producers);
         std::string display = "shm:" + name;
         std::cout << "=== " << display << " ===\n";
         if (peer_died[i])
@@ -770,34 +553,34 @@ cmdAttach(int argc, char **argv)
                       << streams[i]->size() << " bytes via "
                       << probe.ioName() << "\n";
 
-            if (mrc) {
+            if (opt.mrc) {
                 // Mirror replaySweepLadder's StackDistance mode (a
                 // profile scoped to the one stream) so the curve is
                 // bit-identical to `trace_tool mrc` on the equivalent
                 // file.
-                StackDistanceProfile profile(kind, line_bytes);
+                StackDistanceProfile profile(opt.kind, opt.lineBytes);
                 TraceReader reader(
                     std::make_unique<ShmSource>(streams[i]), display);
                 reader.replayInto(profile);
                 std::vector<double> ratios =
-                    profile.missRatios(kind, sizes);
+                    profile.missRatios(opt.kind, opt.sizes);
                 Table t({"cache KB", "miss%"});
-                for (size_t j = 0; j < sizes.size(); ++j) {
-                    t.cell(static_cast<uint64_t>(sizes[j]));
+                for (size_t j = 0; j < opt.sizes.size(); ++j) {
+                    t.cell(static_cast<uint64_t>(opt.sizes[j]));
                     t.cell(ratios[j] * 100.0, 3);
                     t.endRow();
                 }
                 t.print(std::cout);
             } else {
-                std::vector<CpuReport> reports(configs.size());
-                parallelFor(configs.size(), [&](size_t j) {
+                std::vector<CpuReport> reports(opt.machines.size());
+                parallelFor(opt.machines.size(), [&](size_t j) {
                     TraceReader reader(
                         std::make_unique<ShmSource>(streams[i]),
                         display);
-                    SimCpu cpu(configs[j]);
+                    SimCpu cpu(opt.machines[j]);
                     reader.replayInto(cpu);
                     reports[j] = cpu.report();
-                }, jobs);
+                }, opt.jobs);
                 printReplayTable(reports);
             }
         } catch (const TraceFormatError &err) {
@@ -805,7 +588,7 @@ cmdAttach(int argc, char **argv)
             rc = 1;
         }
         ShmRing::unlink(name);
-        if (i + 1 < producers)
+        if (i + 1 < opt.producers)
             std::cout << "\n";
     }
     return rc;
@@ -816,80 +599,37 @@ cmdAttach(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    // Peel off the reader-policy flags before command dispatch: they
-    // apply to every command, so they set the process-wide defaults
-    // that TraceReader and the replay runners pick up.
-    std::vector<char *> args;
-    args.reserve(static_cast<size_t>(argc));
-    ReaderOptions opts = defaultReaderOptions();
-    for (int i = 0; i < argc; ++i) {
-        if (i == 0) {
-            args.push_back(argv[i]);
-            continue;
-        }
-        if (const char *v = flagValue(argv[i], "--io", argc, argv, i)) {
-            if (!parseTraceIo(v, opts.io))
-                wcrt_fatal("unknown --io '", v,
-                           "' (auto, stream or mmap)");
-        } else if (const char *v2 = flagValue(argv[i], "--verify-crc",
-                                              argc, argv, i)) {
-            if (!parseCrcMode(v2, opts.crc))
-                wcrt_fatal("unknown --verify-crc '", v2,
-                           "' (always, once or never)");
-        } else {
-            args.push_back(argv[i]);
-        }
-    }
-    setDefaultReaderOptions(opts);
-    argc = static_cast<int>(args.size());
-    argv = args.data();
-
-    if (argc < 3)
-        return usage();
-    std::string cmd = argv[1];
+    Options opt;
+    const std::vector<FlagCommand> commands = commandTable(opt);
     try {
+        FlagArgs args = parseFlags(commands, {argv + 1, argv + argc});
+        if (args.help) {
+            std::cout << flagHelp("trace_tool", commands);
+            return 0;
+        }
+        // The reader-policy flags set the process-wide defaults that
+        // TraceReader and the replay runners pick up.
+        setDefaultReaderOptions(opt.reader);
+        const std::string &cmd = args.command->name;
+        const std::vector<std::string> &pos = args.positional;
         if (cmd == "record")
-            return cmdRecord(argc, argv);
+            return cmdRecord(pos[0], pos[1], opt);
         if (cmd == "stats")
-            return cmdStats(argv[2]);
-        if (cmd == "dump") {
-            uint64_t limit = 32;
-            for (int i = 3; i < argc; ++i) {
-                if (const char *v =
-                        flagValue(argv[i], "--limit", argc, argv, i))
-                    limit = parseCount("--limit", v, 0, UINT64_MAX);
-                else
-                    return usage();
-            }
-            return cmdDump(argv[2], limit);
-        }
-        if (cmd == "replay") {
-            std::string machines;
-            unsigned jobs = 0;
-            for (int i = 3; i < argc; ++i) {
-                if (const char *v =
-                        flagValue(argv[i], "--machine", argc, argv, i))
-                    machines = v;
-                else if (const char *v2 =
-                             flagValue(argv[i], "--jobs", argc, argv, i))
-                    jobs = parseJobs(v2);
-                else
-                    return usage();
-            }
-            return cmdReplay(argv[2], machines, jobs);
-        }
+            return cmdStats(pos[0]);
+        if (cmd == "dump")
+            return cmdDump(pos[0], opt.limit);
+        if (cmd == "replay")
+            return cmdReplay(pos[0], opt);
         if (cmd == "mrc")
-            return cmdMrc(argc, argv);
+            return cmdMrc(pos[0], opt);
         if (cmd == "serve")
-            return cmdServe(argc, argv);
-        if (cmd == "attach") {
-            // attach has no positional argument, so the argc >= 3
-            // gate above already held (--ring counts as argv[2]).
-            return cmdAttach(argc, argv);
-        }
+            return cmdServe(pos[0], opt);
+        return cmdAttach(opt);
+    } catch (const FlagError &err) {
+        std::cerr << "trace_tool: " << err.what() << "\n";
+        return err.status;
     } catch (const TraceFormatError &err) {
         std::cerr << "trace_tool: " << err.what() << "\n";
         return 1;
     }
-    return usage();
 }

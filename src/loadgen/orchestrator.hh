@@ -87,8 +87,10 @@ class Orchestrator
     TrafficTarget &target;
     std::vector<PhaseSpec> phases;
     OrchestratorConfig cfg;
+    //! Actor 0 capture (opt-in). Declared before `actors` so it
+    //! outlives their tracers, whose destructors flush into it.
+    TraceRecorder recorder;
     std::vector<ActorState> actors;
-    TraceRecorder recorder;  //!< actor 0 capture (opt-in)
     bool ran = false;
 };
 

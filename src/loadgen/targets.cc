@@ -39,6 +39,12 @@ class SessionBase : public ActorSession
 
     uint64_t traceOps() const override { return tracer->opCount(); }
 
+  private:
+    // Declared before `tracer` so it outlives it: ~Tracer flushes its
+    // buffered ops into this sink.
+    CountingSink counting;
+    TraceSink *record;
+
   protected:
     /** Call once the session's code layout is fully registered. */
     void
@@ -50,10 +56,6 @@ class SessionBase : public ActorSession
 
     RunEnv env;
     std::unique_ptr<Tracer> tracer;
-
-  private:
-    CountingSink counting;
-    TraceSink *record;
 };
 
 // ---------------------------------------------------------------- kv-get

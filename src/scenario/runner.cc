@@ -41,6 +41,15 @@ class GenSessionBase : public ActorSession
 
     uint64_t traceOps() const override { return tracer->opCount(); }
 
+  private:
+    uint64_t scenarioSeed;
+    uint64_t actor;
+    uint64_t op = 0;
+    // Declared before `tracer` so it outlives it: ~Tracer flushes its
+    // buffered ops into this sink.
+    CountingSink counting;
+    TraceSink *record;
+
   protected:
     void
     buildTracer()
@@ -58,13 +67,6 @@ class GenSessionBase : public ActorSession
 
     RunEnv env;
     std::unique_ptr<Tracer> tracer;
-
-  private:
-    uint64_t scenarioSeed;
-    uint64_t actor;
-    uint64_t op = 0;
-    CountingSink counting;
-    TraceSink *record;
 };
 
 /**

@@ -1,10 +1,12 @@
 #include "scenario/scenario.hh"
 
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <map>
+#include <optional>
 #include <sstream>
 
+#include "base/flags.hh"
 #include "base/strings.hh"
 #include "baselines/baselines.hh"
 
@@ -70,11 +72,11 @@ parseMachine(const std::string &name, MachineConfig &out)
         return true;
     }
     if (name.rfind("sim", 0) == 0) {
-        int kb = std::atoi(name.c_str() + 3);
-        if (kb <= 0)
-            return false;
-        out = atomInOrderSim(static_cast<uint32_t>(kb));
-        return true;
+        std::optional<uint64_t> kb =
+            toCount(std::string_view(name).substr(3), 1, kMaxSizeKb);
+        if (kb)
+            out = atomInOrderSim(static_cast<uint32_t>(*kb));
+        return kb.has_value();
     }
     return false;
 }
@@ -110,18 +112,28 @@ splitList(const std::string &text)
     return out;
 }
 
-bool
-parseDouble(const std::string &text, double &out)
+constexpr double kMaxReal = std::numeric_limits<double>::max();
+
+/** A real > 0: scale-factor, rates and the scale axis. */
+std::optional<double>
+positiveReal(const std::string &text)
 {
-    std::istringstream is(text);
-    return static_cast<bool>(is >> out) && is.eof();
+    std::optional<double> v = toReal(text, 0.0, kMaxReal);
+    return v && *v > 0.0 ? v : std::nullopt;
 }
 
-bool
-parseUint(const std::string &text, uint64_t &out)
+/**
+ * `text` as a count in [min, max] into `out`; otherwise an issue
+ * "bad <what> '<text>' (expected MIN..MAX)".
+ */
+template <typename T>
+void
+countKey(Check &check, const ScenarioEntry &e, const std::string &what,
+         const std::string &text, uint64_t min, uint64_t max, T &out)
 {
-    std::istringstream is(text);
-    return static_cast<bool>(is >> out) && is.eof();
+    if (!assignIf(toCount(text, min, max), out))
+        check.fail(e.line, "bad " + what + " '" + text + "' (expected " +
+                               rangeText(min, max) + ")");
 }
 
 bool
@@ -195,11 +207,9 @@ parseScenarioSection(const ScenarioSection &sec, ScenarioSpec &spec,
         } else if (e.key == "kind") {
             // handled above
         } else if (e.key == "seed") {
-            if (!parseUint(e.value, spec.seed))
-                check.fail(e.line, "bad seed '" + e.value + "'");
+            countKey(check, e, "seed", e.value, 0, UINT64_MAX, spec.seed);
         } else if (e.key == "scale-factor") {
-            if (!parseDouble(e.value, spec.scaleFactor) ||
-                spec.scaleFactor <= 0.0)
+            if (!assignIf(positiveReal(e.value), spec.scaleFactor))
                 check.fail(e.line,
                            "bad scale-factor '" + e.value + "'");
         } else if (e.key == "sweep-kind") {
@@ -215,43 +225,29 @@ parseScenarioSection(const ScenarioSection &sec, ScenarioSpec &spec,
         } else if (e.key == "sizes-kb") {
             spec.sizesKb.clear();
             for (const std::string &tok : splitList(e.value)) {
-                uint64_t kb = 0;
-                if (!parseUint(tok, kb) || kb == 0) {
-                    check.fail(e.line,
-                               "bad sizes-kb entry '" + tok + "'");
-                    continue;
-                }
-                spec.sizesKb.push_back(static_cast<uint32_t>(kb));
+                uint32_t kb = 0;
+                countKey(check, e, "sizes-kb entry", tok, 1, kMaxSizeKb,
+                         kb);
+                if (kb)
+                    spec.sizesKb.push_back(kb);
             }
             if (spec.sizesKb.empty())
                 check.fail(e.line,
                            "sizes-kb needs at least one capacity");
         } else if (e.key == "assoc") {
-            uint64_t v = 0;
-            if (!parseUint(e.value, v) || v == 0)
-                check.fail(e.line, "bad assoc '" + e.value + "'");
-            else
-                spec.assoc = static_cast<uint32_t>(v);
+            countKey(check, e, "assoc", e.value, 1, kMaxAssoc, spec.assoc);
         } else if (e.key == "line-bytes") {
-            uint64_t v = 0;
-            if (!parseUint(e.value, v) || v == 0)
-                check.fail(e.line,
-                           "bad line-bytes '" + e.value + "'");
-            else
-                spec.lineBytes = static_cast<uint32_t>(v);
+            if (!parseLineBytes(e.value, spec.lineBytes))
+                check.fail(e.line, "bad line-bytes '" + e.value +
+                                       "' (expected a power of two in " +
+                                       rangeText(1, kMaxLineBytes) + ")");
         } else if (e.key == "target") {
             spec.target = e.value;
         } else if (e.key == "actors") {
-            uint64_t v = 0;
-            if (!parseUint(e.value, v) || v == 0)
-                check.fail(e.line, "bad actors '" + e.value + "'");
-            else
-                spec.actors = static_cast<unsigned>(v);
+            countKey(check, e, "actors", e.value, 1, kMaxJobs, spec.actors);
         } else if (e.key == "probe-ops") {
-            if (!parseUint(e.value, spec.probeOps) ||
-                spec.probeOps == 0)
-                check.fail(e.line,
-                           "bad probe-ops '" + e.value + "'");
+            countKey(check, e, "probe-ops", e.value, 1, UINT64_MAX,
+                     spec.probeOps);
         } else if (e.key == "key-gen") {
             spec.keyGen = e.value;
         } else if (e.key == "query-gen") {
@@ -369,18 +365,15 @@ parsePhasesSection(const ScenarioSection &sec, ScenarioSpec &spec,
             if (!ok) {
                 // fall through to the unknown-option report below
             } else if (k == "ops") {
-                ok = parseUint(v, phase.ops) && phase.ops > 0;
+                ok = assignIf(toCount(v, 1, UINT64_MAX), phase.ops);
             } else if (k == "think-ns") {
-                ok = parseDouble(v, phase.thinkNs) &&
-                     phase.thinkNs >= 0;
+                ok = assignIf(toReal(v, 0.0, kMaxReal), phase.thinkNs);
             } else if (k == "rate-hz") {
-                ok = parseDouble(v, phase.rateHz) && phase.rateHz > 0;
+                ok = assignIf(positiveReal(v), phase.rateHz);
             } else if (k == "rate-x") {
-                ok = parseDouble(v, phase.rateX) && phase.rateX > 0;
+                ok = assignIf(positiveReal(v), phase.rateX);
             } else if (k == "burst") {
-                uint64_t b = 0;
-                ok = parseUint(v, b) && b > 0;
-                phase.burst = static_cast<uint32_t>(b);
+                ok = assignIf(toCount(v, 1, UINT32_MAX), phase.burst);
             } else if (k == "record") {
                 ok = parseBool(v, phase.record);
             } else {
@@ -621,8 +614,7 @@ expandScenario(const ScenarioSpec &spec, double base_scale,
         }
         for (const auto &v : axis.values) {
             if (axis.name == "scale") {
-                double s = 0.0;
-                if (!parseDouble(v, s) || s <= 0.0) {
+                if (!positiveReal(v)) {
                     check.fail(axis.line,
                                "bad scale value '" + v + "'");
                     bad = true;
@@ -678,9 +670,7 @@ expandScenario(const ScenarioSpec &spec, double base_scale,
             rem %= stride;
             labels.emplace_back(axis.name, v);
             if (axis.name == "scale") {
-                double s = 0.0;
-                parseDouble(v, s);
-                cell.scale = s * spec.scaleFactor;
+                cell.scale = *positiveReal(v) * spec.scaleFactor;
             } else if (axis.name == "group") {
                 cell.group = *spec.findGroup(v);
             } else if (axis.name == "mode") {

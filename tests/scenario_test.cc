@@ -122,6 +122,10 @@ TEST(ScenarioSpecTest, AccumulatesEverySemanticIssue)
         "name = broken\n"
         "kind = sweep\n"
         "frobnicate = 1\n"
+        "seed = -1\n"
+        "assoc = 4294967296\n"
+        "line-bytes = 48\n"
+        "sizes-kb = 16, 4294967312, 0\n"
         "[workloads]\n"
         "group G = H-Grep, No-Such-Workload\n"
         "[generators]\n"
@@ -129,16 +133,36 @@ TEST(ScenarioSpecTest, AccumulatesEverySemanticIssue)
         "[matrix]\n"
         "machine = xeon\n"));
     EXPECT_FALSE(parse.ok());
-    EXPECT_TRUE(hasIssue(parse.issues, "unknown key 'frobnicate'"));
-    EXPECT_TRUE(
-        hasIssue(parse.issues, "unknown workload 'No-Such-Workload'"));
-    EXPECT_TRUE(hasIssue(parse.issues, "unknown generator kind"));
+    for (const char *issue :
+         {"unknown key 'frobnicate'", "unknown workload 'No-Such-Workload'",
+          "unknown generator kind", "bad seed '-1'",
+          "bad assoc '4294967296' (expected 1..65536)",
+          "bad line-bytes '48' (expected a power of two in 1..65536)",
+          "bad sizes-kb entry '4294967312' (expected 1..4194304)",
+          "bad sizes-kb entry '0'"})
+        EXPECT_TRUE(hasIssue(parse.issues, issue)) << issue;
 
     // The machine axis is a replay-only concept; expansion flags it.
     std::vector<ScenarioIssue> expand_issues;
     expandScenario(parse.spec, 0.5, expand_issues);
     EXPECT_TRUE(
         hasIssue(expand_issues, "not valid for sweep scenarios"));
+
+    // Traffic counts: actors is capped like --producers, and no count
+    // wraps on -1.
+    for (std::string actors : {"-1", "0", "4097"}) {
+        ScenarioParse traffic = parseScenario(parseScenarioText(
+            "[scenario]\nname = t\nkind = traffic\ntarget = kv-get\n"
+            "actors = " + actors + "\n"
+            "[phases]\n"
+            "phase a = closed, ops=-1\n"
+            "phase b = token-bucket, ops=8, rate-hz=5, burst=-1\n"));
+        EXPECT_TRUE(hasIssue(traffic.issues, "bad actors '" + actors +
+                                                 "' (expected 1..4096)"));
+        EXPECT_TRUE(hasIssue(traffic.issues, "bad phase option 'ops=-1'"));
+        EXPECT_TRUE(
+            hasIssue(traffic.issues, "bad phase option 'burst=-1'"));
+    }
 }
 
 TEST(ScenarioSpecTest, BadMatrixAxisValuesReported)
@@ -150,7 +174,7 @@ TEST(ScenarioSpecTest, BadMatrixAxisValuesReported)
                           "[workloads]\n"
                           "group G = H-Grep\n"
                           "[matrix]\n"
-                          "scale = 0.5, banana\n"
+                          "scale = 0.5, banana, nan, inf, 0, -1, 1e999\n"
                           "mode = stack, sideways\n"
                           "color = red\n"));
     EXPECT_TRUE(hasIssue(parse.issues, "unknown matrix axis 'color'"));
@@ -158,8 +182,31 @@ TEST(ScenarioSpecTest, BadMatrixAxisValuesReported)
     std::vector<ScenarioCell> cells =
         expandScenario(parse.spec, 0.5, issues);
     EXPECT_TRUE(cells.empty());
-    EXPECT_TRUE(hasIssue(issues, "bad scale value 'banana'"));
+    for (const char *v : {"banana", "nan", "inf", "0", "-1", "1e999"})
+        EXPECT_TRUE(hasIssue(issues, "bad scale value '" +
+                                         std::string(v) + "'"))
+            << v;
     EXPECT_TRUE(hasIssue(issues, "bad mode value 'sideways'"));
+
+    // sim<KB> goes through the count converter, like --machine.
+    ScenarioParse replay = parseScenario(
+        parseScenarioText("[scenario]\n"
+                          "name = r\n"
+                          "kind = replay\n"
+                          "[workloads]\n"
+                          "group G = H-Grep\n"
+                          "[matrix]\n"
+                          "machine = xeon, sim32abc, sim99999999999,"
+                          " sim0, sim-1, sim\n"));
+    ASSERT_TRUE(replay.ok()) << replay.formatIssues();
+    std::vector<ScenarioIssue> machine_issues;
+    EXPECT_TRUE(expandScenario(replay.spec, 0.5, machine_issues).empty());
+    for (const char *v :
+         {"sim32abc", "sim99999999999", "sim0", "sim-1", "sim"})
+        EXPECT_TRUE(hasIssue(machine_issues, "bad machine value '" +
+                                                 std::string(v) + "'"))
+            << v;
+    EXPECT_FALSE(hasIssue(machine_issues, "'xeon'"));
 }
 
 TEST(ScenarioSpecTest, TrafficRequiresTargetAndPhases)
