@@ -502,6 +502,19 @@ BM_ShmRing(benchmark::State &state)
 }
 BENCHMARK(BM_ShmRing)->UseRealTime();
 
+/**
+ * Reader options for the replay-to-sink rows: one decode thread, so
+ * each row times one thread's decode plus its sink (the trace spans
+ * four chunks, which a default reader would decode in parallel).
+ */
+ReaderOptions
+serialDecode()
+{
+    ReaderOptions opts = defaultReaderOptions();
+    opts.jobs = 1;
+    return opts;
+}
+
 /** Write one shared trace for the replay-to-sink rows. */
 const std::string &
 replayBenchTrace()
@@ -526,7 +539,7 @@ template <typename MakeSink>
 void
 replayRows(benchmark::State &state, MakeSink make_sink, bool per_op)
 {
-    TraceReader reader(replayBenchTrace());
+    TraceReader reader(replayBenchTrace(), serialDecode());
     uint64_t ops_read = 0;
     for (auto _ : state) {
         auto sink = make_sink();
@@ -604,7 +617,7 @@ BENCHMARK(BM_ReplaySweepBatch);
 void
 BM_MrcSinglePass(benchmark::State &state)
 {
-    TraceReader reader(replayBenchTrace());
+    TraceReader reader(replayBenchTrace(), serialDecode());
     auto sizes = paperSweepSizesKb();
     uint64_t ops_read = 0;
     double sink = 0.0;
@@ -628,7 +641,7 @@ BENCHMARK(BM_MrcSinglePass)->UseRealTime();
 void
 BM_MrcSingleKind(benchmark::State &state)
 {
-    TraceReader reader(replayBenchTrace());
+    TraceReader reader(replayBenchTrace(), serialDecode());
     auto sizes = paperSweepSizesKb();
     uint64_t ops_read = 0;
     double sink = 0.0;
@@ -680,7 +693,7 @@ BENCHMARK(BM_ReplayConfigsPooled)->UseRealTime();
 void
 teeReplayRow(benchmark::State &state, unsigned workers)
 {
-    TraceReader reader(replayBenchTrace());
+    TraceReader reader(replayBenchTrace(), serialDecode());
     uint64_t ops_read = 0;
     for (auto _ : state) {
         MixCounter mix;

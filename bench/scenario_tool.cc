@@ -363,6 +363,7 @@ main(int argc, char **argv)
             std::cout << flagHelp("scenario_tool", commands);
             return 0;
         }
+        reader.jobs = opt.jobs;  // --jobs also caps chunk decode
         setDefaultReaderOptions(reader);
         const std::string &cmd = args.command->name;
         if (cmd == "validate")

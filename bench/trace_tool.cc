@@ -135,7 +135,7 @@ commandTable(Options &o)
                           "always, once or never", "chunk CRC policy");
     return {
         {"record", "<workload> <out.wtrace>", 2, 2, {scale, io, crc}},
-        {"stats", "<file.wtrace>", 1, 1, {io, crc}},
+        {"stats", "<file.wtrace>", 1, 1, {jobs, io, crc}},
         {"dump", "<file.wtrace>", 1, 1,
          {countFlag("limit", o.limit, 0, UINT64_MAX, "ops to print"), io,
           crc}},
@@ -608,7 +608,9 @@ main(int argc, char **argv)
             return 0;
         }
         // The reader-policy flags set the process-wide defaults that
-        // TraceReader and the replay runners pick up.
+        // TraceReader and the replay runners pick up; --jobs also caps
+        // each replay's chunk decode.
+        opt.reader.jobs = opt.jobs;
         setDefaultReaderOptions(opt.reader);
         const std::string &cmd = args.command->name;
         const std::vector<std::string> &pos = args.positional;

@@ -12,9 +12,9 @@
  * Usage: example_cluster_explorer [k] [workload ...]
  */
 
-#include <cstdlib>
 #include <iostream>
 
+#include "base/flags.hh"
 #include "base/table.hh"
 #include "core/analyzer.hh"
 #include "core/profiler.hh"
@@ -24,8 +24,7 @@ using namespace wcrt;
 
 int
 main(int argc, char **argv)
-{
-    size_t k = argc > 1 ? static_cast<size_t>(std::atoi(argv[1])) : 5;
+try {
     std::vector<std::string> names;
     if (argc > 2) {
         for (int i = 2; i < argc; ++i)
@@ -38,10 +37,7 @@ main(int argc, char **argv)
                  "H-TPC-DS-query3",  "S-Kmeans",      "S-PageRank",
                  "H-Read"};
     }
-    if (k == 0 || k > names.size()) {
-        std::cerr << "k must be in 1.." << names.size() << "\n";
-        return 1;
-    }
+    size_t k = argc > 1 ? countArg("k", argv[1], 1, names.size()) : 5;
 
     std::cout << "Profiling " << names.size()
               << " workloads (45 metrics each)...\n";
@@ -83,4 +79,7 @@ main(int argc, char **argv)
     std::cout << "\nBenchmarking cost: " << names.size()
               << " workloads -> " << k << " representatives.\n";
     return 0;
+} catch (const FlagError &err) {
+    std::cerr << "example_cluster_explorer: " << err.what() << "\n";
+    return err.status;
 }

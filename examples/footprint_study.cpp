@@ -8,9 +8,9 @@
  * Usage: example_footprint_study [workload-name] [scale]
  */
 
-#include <cstdlib>
 #include <iostream>
 
+#include "base/flags.hh"
 #include "base/table.hh"
 #include "core/profiler.hh"
 #include "sim/footprint.hh"
@@ -20,9 +20,10 @@ using namespace wcrt;
 
 int
 main(int argc, char **argv)
-{
+try {
     std::string name = argc > 1 ? argv[1] : "H-WordCount";
-    double scale = argc > 2 ? std::atof(argv[2]) : 0.3;
+    double scale =
+        argc > 2 ? realArg("scale", argv[2], kMinScale, kMaxScale) : 0.3;
 
     WorkloadPtr workload = findWorkload(name).make(scale);
     std::cout << "Cache-capacity sweep for " << workload->name()
@@ -61,4 +62,7 @@ main(int argc, char **argv)
               << " instructions swept through "
               << sizes.size() * 3 << " cache instances.)\n";
     return 0;
+} catch (const FlagError &err) {
+    std::cerr << "example_footprint_study: " << err.what() << "\n";
+    return err.status;
 }

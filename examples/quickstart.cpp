@@ -7,9 +7,9 @@
  *   e.g. example_quickstart H-WordCount 0.25
  */
 
-#include <cstdlib>
 #include <iostream>
 
+#include "base/flags.hh"
 #include "base/table.hh"
 #include "baselines/baselines.hh"
 #include "core/profiler.hh"
@@ -33,9 +33,10 @@ makeByName(const std::string &name, double scale)
 
 int
 main(int argc, char **argv)
-{
+try {
     std::string name = argc > 1 ? argv[1] : "H-WordCount";
-    double scale = argc > 2 ? std::atof(argv[2]) : 0.25;
+    double scale =
+        argc > 2 ? realArg("scale", argv[2], kMinScale, kMaxScale) : 0.25;
 
     WorkloadPtr workload = makeByName(name, scale);
 
@@ -89,4 +90,7 @@ main(int argc, char **argv)
               << ")\n";
     std::cout << "Data behaviour:   " << run.data.describe() << "\n";
     return 0;
+} catch (const FlagError &err) {
+    std::cerr << "example_quickstart: " << err.what() << "\n";
+    return err.status;
 }

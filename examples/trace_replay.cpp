@@ -9,10 +9,10 @@
  */
 
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <iostream>
 
+#include "base/flags.hh"
 #include "base/table.hh"
 #include "core/profiler.hh"
 #include "tracefile/capture.hh"
@@ -24,9 +24,10 @@ using namespace wcrt;
 
 int
 main(int argc, char **argv)
-{
+try {
     std::string name = argc > 1 ? argv[1] : "H-WordCount@wiki";
-    double scale = argc > 2 ? std::atof(argv[2]) : 0.3;
+    double scale =
+        argc > 2 ? realArg("scale", argv[2], kMinScale, kMaxScale) : 0.3;
     std::string path =
         (std::filesystem::temp_directory_path() / "example.wtrace")
             .string();
@@ -70,4 +71,7 @@ main(int argc, char **argv)
 
     std::filesystem::remove(path);
     return 0;
+} catch (const FlagError &err) {
+    std::cerr << "example_trace_replay: " << err.what() << "\n";
+    return err.status;
 }

@@ -13,6 +13,7 @@
 #include <iomanip>
 #include <iostream>
 
+#include "base/flags.hh"
 #include "base/table.hh"
 #include "baselines/baselines.hh"
 #include "core/profiler.hh"
@@ -77,7 +78,7 @@ withCommas(uint64_t v)
 
 int
 main(int argc, char **argv)
-{
+try {
     std::string machine_name = "xeon";
     double scale = 0.5;
     std::string workload;
@@ -89,7 +90,7 @@ main(int argc, char **argv)
         if (!std::strcmp(argv[i], "-m") && i + 1 < argc) {
             machine_name = argv[++i];
         } else if (!std::strcmp(argv[i], "-s") && i + 1 < argc) {
-            scale = std::atof(argv[++i]);
+            scale = realArg("-s", argv[++i], kMinScale, kMaxScale);
         } else {
             workload = argv[i];
         }
@@ -156,4 +157,7 @@ main(int argc, char **argv)
               << formatFixed(run.sysProfile.ioWaitRatio * 100, 1)
               << "% iowait); " << run.data.describe() << "\n\n";
     return 0;
+} catch (const FlagError &err) {
+    std::cerr << "example_wcrt_stat: " << err.what() << "\n";
+    return err.status;
 }

@@ -8,9 +8,9 @@
  * Usage: example_wordcount_stacks [scale]
  */
 
-#include <cstdlib>
 #include <iostream>
 
+#include "base/flags.hh"
 #include "base/table.hh"
 #include "core/profiler.hh"
 #include "workloads/text_workloads.hh"
@@ -19,8 +19,9 @@ using namespace wcrt;
 
 int
 main(int argc, char **argv)
-{
-    double scale = argc > 1 ? std::atof(argv[1]) : 0.5;
+try {
+    double scale =
+        argc > 1 ? realArg("scale", argv[1], kMinScale, kMaxScale) : 0.5;
     MachineConfig machine = xeonE5645();
 
     std::cout << "WordCount on three software stacks, " << machine.name
@@ -59,4 +60,7 @@ main(int argc, char **argv)
         << " - that difference is software, not algorithm: co-design\n"
         << "   of stack and hardware is where the win is.\n";
     return 0;
+} catch (const FlagError &err) {
+    std::cerr << "example_wordcount_stacks: " << err.what() << "\n";
+    return err.status;
 }

@@ -41,6 +41,37 @@ toReal(std::string_view text, double min, double max)
     return v;
 }
 
+namespace {
+
+[[noreturn]] void
+badArg(std::string_view name, std::string_view text,
+       const std::string &range)
+{
+    throw FlagError(FlagError::kBadValue,
+                    "bad " + std::string(name) + " '" + std::string(text) +
+                        "' (expected " + range + ")");
+}
+
+} // namespace
+
+uint64_t
+countArg(std::string_view name, std::string_view text, uint64_t min,
+         uint64_t max)
+{
+    if (std::optional<uint64_t> v = toCount(text, min, max))
+        return *v;
+    badArg(name, text, rangeText(min, max));
+}
+
+double
+realArg(std::string_view name, std::string_view text, double min,
+        double max)
+{
+    if (std::optional<double> v = toReal(text, min, max))
+        return *v;
+    badArg(name, text, rangeText(min, max));
+}
+
 bool
 parseLineBytes(const std::string &text, uint32_t &out)
 {
@@ -55,13 +86,7 @@ double
 envScale()
 {
     const char *s = std::getenv("WCRT_SCALE");
-    if (!s)
-        return 0.5;
-    if (std::optional<double> v = toReal(s, kMinScale, kMaxScale))
-        return *v;
-    throw FlagError(FlagError::kBadValue,
-                    "bad WCRT_SCALE '" + std::string(s) + "' (expected " +
-                        rangeText(kMinScale, kMaxScale) + ")");
+    return s ? realArg("WCRT_SCALE", s, kMinScale, kMaxScale) : 0.5;
 }
 
 FlagArgs

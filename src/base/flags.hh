@@ -83,6 +83,20 @@ assignIf(const std::optional<V> &v, T &out)
     return v.has_value();
 }
 
+/**
+ * @name Bare numeric arguments
+ * A number outside any flag table (an example's positional or short
+ * option, an environment variable): toCount() / toReal() in
+ * [min, max], else FlagError(kBadValue, "bad NAME 'TEXT' (expected
+ * MIN..MAX)").
+ */
+/** @{ */
+uint64_t countArg(std::string_view name, std::string_view text,
+                  uint64_t min, uint64_t max);
+double realArg(std::string_view name, std::string_view text, double min,
+               double max);
+/** @} */
+
 /** A cache line size: a power of two in 1..kMaxLineBytes. */
 bool parseLineBytes(const std::string &text, uint32_t &out);
 

@@ -40,6 +40,18 @@ splitWhitespace(std::string_view text)
 }
 
 std::string
+trim(std::string_view text)
+{
+    size_t b = 0;
+    size_t e = text.size();
+    while (b < e && std::isspace(static_cast<unsigned char>(text[b])))
+        ++b;
+    while (e > b && std::isspace(static_cast<unsigned char>(text[e - 1])))
+        --e;
+    return std::string(text.substr(b, e - b));
+}
+
+std::string
 join(const std::vector<std::string> &parts, std::string_view sep)
 {
     std::string out;

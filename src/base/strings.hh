@@ -18,6 +18,9 @@ std::vector<std::string> split(std::string_view text, char delim);
 /** Split on runs of whitespace; empty tokens are dropped. */
 std::vector<std::string> splitWhitespace(std::string_view text);
 
+/** Drop leading and trailing whitespace. */
+std::string trim(std::string_view text);
+
 /** Join strings with a separator. */
 std::string join(const std::vector<std::string> &parts,
                  std::string_view sep);

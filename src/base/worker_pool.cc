@@ -4,6 +4,28 @@
 
 namespace wcrt {
 
+namespace {
+
+thread_local bool t_inJob = false;
+
+} // namespace
+
+bool
+WorkerPool::inJob()
+{
+    return t_inJob;
+}
+
+WorkerPool::JobScope::JobScope() : outer(t_inJob)
+{
+    t_inJob = true;
+}
+
+WorkerPool::JobScope::~JobScope()
+{
+    t_inJob = outer;
+}
+
 WorkerPool::WorkerPool(unsigned workers) : threads(workers)
 {
     pool.reserve(workers);
@@ -100,7 +122,10 @@ WorkerPool::helpOne(const Ticket &t)
     size_t i = t->next.fetch_add(1, std::memory_order_relaxed);
     if (i >= t->count)
         return false;
-    t->job(i);
+    {
+        JobScope scope;
+        t->job(i);
+    }
     // The release half of this RMW chain is what publishes every job's
     // effects to whoever observes remaining == 0 with an acquire load.
     if (t->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {

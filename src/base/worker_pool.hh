@@ -157,6 +157,28 @@ class WorkerPool
                            std::move(job)));
     }
 
+    /**
+     * True while the calling thread executes an index of some pool
+     * task (as a pool thread or as a helping waiter) or a job of
+     * parallelFor's serial path. Code that would fan out on its own
+     * (chunk-parallel decode) stays serial here, so an enclosing
+     * worker cap is never exceeded and no nested ticket is submitted.
+     */
+    static bool inJob();
+
+    /** Marks the calling thread as inside a job while alive; nests. */
+    class JobScope
+    {
+      public:
+        JobScope();
+        ~JobScope();
+        JobScope(const JobScope &) = delete;
+        JobScope &operator=(const JobScope &) = delete;
+
+      private:
+        bool outer;  //!< the flag as it was on entry
+    };
+
   private:
     void workerLoop();
 

@@ -2,9 +2,10 @@
 
 #include <cmath>
 #include <cstdio>
-#include <sstream>
+#include <optional>
 #include <vector>
 
+#include "base/flags.hh"
 #include "base/strings.hh"
 
 namespace wcrt {
@@ -58,83 +59,96 @@ ValueGen::parse(const std::string &spec, ValueGen &out,
         return false;
     }
     std::string name = spec.substr(0, open);
-    std::string args_text =
-        spec.substr(open + 1, spec.size() - open - 2);
-
-    std::vector<double> args;
-    for (const std::string &tok : split(args_text, ',')) {
-        std::istringstream is(tok);
-        double v = 0.0;
-        if (!(is >> v)) {
-            err = "bad numeric argument '" + tok + "' in '" + spec +
-                  "'";
-            return false;
-        }
-        args.push_back(v);
-    }
-
-    auto want = [&](size_t count) {
-        if (args.size() == count)
-            return true;
-        err = toString(out.k) + std::string("() takes ") +
-              std::to_string(count) + " arguments, got " +
-              std::to_string(args.size());
-        return false;
-    };
-
+    size_t arity;
     if (name == "zipf") {
         out.k = GenKind::Zipf;
-        if (!want(2))
-            return false;
-        if (args[0] < 1.0) {
-            err = "zipf needs at least 1 rank";
-            return false;
-        }
-        out.n = static_cast<uint64_t>(args[0]);
-        out.b = args[1];
-        out.zipf = std::make_shared<ZipfSampler>(
-            static_cast<size_t>(out.n), out.b);
+        arity = 2;
     } else if (name == "uniform") {
         out.k = GenKind::Uniform;
-        if (!want(2))
-            return false;
-        if (args[1] < args[0]) {
-            err = "uniform needs hi >= lo";
-            return false;
-        }
-        out.a = args[0];
-        out.b = args[1];
+        arity = 2;
     } else if (name == "gauss") {
         out.k = GenKind::Gauss;
-        if (!want(2))
-            return false;
-        out.a = args[0];
-        out.b = args[1];
+        arity = 2;
     } else if (name == "bytes") {
         out.k = GenKind::Bytes;
-        if (!want(1))
-            return false;
-        if (args[0] < 1.0) {
-            err = "bytes needs a positive length";
-            return false;
-        }
-        out.n = static_cast<uint64_t>(args[0]);
+        arity = 1;
     } else if (name == "words") {
         out.k = GenKind::Words;
-        if (!want(2))
-            return false;
-        if (args[0] < 1.0 || args[1] < 1.0) {
-            err = "words needs a positive count and vocabulary";
-            return false;
-        }
-        out.n = static_cast<uint64_t>(args[0]);
-        out.m = static_cast<uint64_t>(args[1]);
-        out.zipf = std::make_shared<ZipfSampler>(
-            static_cast<size_t>(out.m), 0.9);
+        arity = 2;
     } else {
         err = "unknown generator kind '" + name +
               "' (zipf, uniform, gauss, bytes or words)";
         return false;
+    }
+
+    std::vector<std::string> args;
+    for (const std::string &tok :
+         split(spec.substr(open + 1, spec.size() - open - 2), ','))
+        args.push_back(trim(tok));
+    if (args.size() != arity) {
+        err = name + "() takes " + std::to_string(arity) +
+              " arguments, got " + std::to_string(args.size());
+        return false;
+    }
+
+    // Every argument goes through the shared converters with a range,
+    // so trailing junk is an error and no size reaches an allocation
+    // unchecked.
+    auto bad = [&](size_t i, const char *what, const std::string &range) {
+        err = "bad " + name + " " + what + " '" + args[i] + "' in '" +
+              spec + "' (expected " + range + ")";
+        return false;
+    };
+    auto count = [&](size_t i, const char *what, uint64_t max,
+                     uint64_t &dst) {
+        return assignIf(toCount(args[i], 1, max), dst) ||
+               bad(i, what, rangeText(1, max));
+    };
+    auto real = [&](size_t i, const char *what, double min, double max,
+                    double &dst) {
+        // toReal takes no sign; a leading '-' negates an unsigned value.
+        bool neg = args[i].starts_with('-');
+        std::optional<double> v = toReal(
+            neg ? args[i].substr(1) : args[i], 0, neg ? -min : max);
+        if (v && neg)
+            v = -*v;
+        return (v && *v >= min && assignIf(v, dst)) ||
+               bad(i, what, rangeText(min, max));
+    };
+
+    switch (out.k) {
+      case GenKind::Zipf:
+        if (!count(0, "rank count", kMaxGenRanks, out.n) ||
+            !real(1, "exponent", 0, kMaxZipfExponent, out.b))
+            return false;
+        out.zipf = std::make_shared<ZipfSampler>(
+            static_cast<size_t>(out.n), out.b);
+        break;
+      case GenKind::Uniform:
+        if (!real(0, "low", -kMaxGenMagnitude, kMaxGenMagnitude, out.a) ||
+            !real(1, "high", -kMaxGenMagnitude, kMaxGenMagnitude, out.b))
+            return false;
+        if (out.b < out.a) {
+            err = "uniform needs hi >= lo";
+            return false;
+        }
+        break;
+      case GenKind::Gauss:
+        if (!real(0, "mean", -kMaxGenMagnitude, kMaxGenMagnitude, out.a) ||
+            !real(1, "deviation", 0, kMaxGenMagnitude, out.b))
+            return false;
+        break;
+      case GenKind::Bytes:
+        if (!count(0, "length", kMaxGenTextLength, out.n))
+            return false;
+        break;
+      case GenKind::Words:
+        if (!count(0, "count", kMaxGenTextLength, out.n) ||
+            !count(1, "vocabulary", kMaxGenRanks, out.m))
+            return false;
+        out.zipf = std::make_shared<ZipfSampler>(
+            static_cast<size_t>(out.m), 0.9);
+        break;
     }
     return true;
 }

@@ -43,6 +43,14 @@ struct GenCtx
 /** SplitMix64-style fold; the one seed-derivation used everywhere. */
 uint64_t mixSeed(uint64_t a, uint64_t b);
 
+/** @name Generator argument limits (rejected beyond, at parse time). */
+/** @{ */
+constexpr uint64_t kMaxGenRanks = 1 << 24;  //!< zipf N, words VOCAB
+constexpr uint64_t kMaxGenTextLength = 1 << 20;  //!< bytes LEN, words COUNT
+constexpr double kMaxZipfExponent = 16;
+constexpr double kMaxGenMagnitude = 1e15;  //!< |LO|, |HI|, |MEAN|, SD
+/** @} */
+
 /** The supported generator shapes. */
 enum class GenKind : uint8_t { Zipf, Uniform, Gauss, Bytes, Words };
 
@@ -60,7 +68,10 @@ class ValueGen
     ValueGen() = default;
 
     /**
-     * Parse a spec string ("zipf(1000, 0.99)").
+     * Parse a spec string ("zipf(1000, 0.99)"). Counts go through
+     * toCount() and reals through toReal() (with an optional leading
+     * '-' where a negative value makes sense), each against the
+     * limits above.
      * @return false with `err` set on a malformed spec.
      */
     static bool parse(const std::string &spec, ValueGen &out,

@@ -1,24 +1,13 @@
 #include "scenario/parser.hh"
 
-#include <cctype>
 #include <fstream>
 #include <sstream>
+
+#include "base/strings.hh"
 
 namespace wcrt {
 
 namespace {
-
-std::string
-trim(const std::string &s)
-{
-    size_t b = 0;
-    size_t e = s.size();
-    while (b < e && std::isspace(static_cast<unsigned char>(s[b])))
-        ++b;
-    while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])))
-        --e;
-    return s.substr(b, e - b);
-}
 
 void
 issue(ScenarioDoc &doc, int line, std::string msg)

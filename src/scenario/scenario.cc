@@ -101,11 +101,7 @@ splitList(const std::string &text)
 {
     std::vector<std::string> out;
     for (const std::string &tok : split(text, ',')) {
-        std::string t;
-        size_t b = tok.find_first_not_of(" \t");
-        size_t e = tok.find_last_not_of(" \t");
-        if (b != std::string::npos)
-            t = tok.substr(b, e - b + 1);
+        std::string t = trim(tok);
         if (!t.empty())
             out.push_back(std::move(t));
     }

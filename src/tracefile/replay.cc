@@ -28,7 +28,9 @@ parallelFor(size_t count, const std::function<void(size_t)> &job,
     size_t workers = std::min<size_t>(replayWorkers(threads), count);
     if (workers <= 1) {
         // Strictly serial fast path: no pool, no ticket, exceptions
-        // propagate directly.
+        // propagate directly. The jobs still count as pool jobs, so a
+        // reader opened inside one decodes serially, as the cap says.
+        WorkerPool::JobScope scope;
         for (size_t i = 0; i < count; ++i)
             job(i);
         return;
@@ -104,8 +106,7 @@ parseMrcMode(const std::string &name, MrcMode &out)
 MrcResult
 replaySweepLadder(const std::string &trace_path, SweepKind kind,
                   const std::vector<uint32_t> &sizes_kb, MrcMode mode,
-                  unsigned /*threads*/, uint32_t assoc,
-                  uint32_t line_bytes)
+                  unsigned threads, uint32_t assoc, uint32_t line_bytes)
 {
     MrcResult result;
     if (sizes_kb.empty())
@@ -114,18 +115,21 @@ replaySweepLadder(const std::string &trace_path, SweepKind kind,
     // One decode pass in every mode, and every sink is scoped to the
     // one stream the caller asked for: the other two streams would be
     // profiled only to be thrown away. One stream leaves nothing to
-    // fan out, so every mode walks serially on the calling thread.
+    // fan out, so the sinks run serially on the calling thread; the
+    // worker cap goes to the reader's chunk decode instead.
+    ReaderOptions opts = defaultReaderOptions();
+    opts.jobs = threads;
     switch (mode) {
       case MrcMode::StackDistance: {
         StackDistanceProfile profile(kind, line_bytes);
-        TraceReader reader(trace_path);
+        TraceReader reader(trace_path, opts);
         reader.replayInto(profile);
         result.ratios = profile.missRatios(kind, sizes_kb);
         break;
       }
       case MrcMode::Oracle: {
         FootprintSweep sweep(sizes_kb, assoc, line_bytes, kind);
-        TraceReader reader(trace_path);
+        TraceReader reader(trace_path, opts);
         reader.replayInto(sweep);
         result.ratios = sweep.missRatios(kind);
         break;
@@ -140,7 +144,7 @@ replaySweepLadder(const std::string &trace_path, SweepKind kind,
         TeeSink tee(0);
         tee.addSink(&profile);
         tee.addSink(&sweep);
-        TraceReader reader(trace_path);
+        TraceReader reader(trace_path, opts);
         reader.replayInto(tee);
         result.ratios = profile.missRatios(kind, sizes_kb);
         result.oracleRatios = sweep.missRatios(kind);

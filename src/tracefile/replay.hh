@@ -38,7 +38,9 @@ unsigned replayWorkers(unsigned requested = 0);
  * caller participating. job(i) is invoked exactly once for every i in
  * [0, count); the first exception any job throws is rethrown on the
  * caller after the ticket settles. A resolved worker count of 1 (or
- * count == 1) bypasses the pool entirely and runs serially.
+ * count == 1) bypasses the pool entirely and runs serially. Either
+ * way each job runs inside a WorkerPool::JobScope, so a TraceReader
+ * replayed in a job decodes its chunks serially and the cap holds.
  *
  * @param count Number of jobs.
  * @param job Callable receiving the job index; must be thread-safe
@@ -114,15 +116,17 @@ struct MrcResult
  * MrcMode: one decode pass in every mode (Verify tees the decoded
  * blocks into both sinks). Every sink is scoped to `kind`: it
  * compresses and walks that one reference stream and never touches
- * the other two, serially on the calling thread.
+ * the other two, serially on the calling thread, while the reader
+ * decodes chunks on up to `threads` threads.
  *
  * @param trace_path Captured trace.
  * @param kind Which reference stream to measure.
  * @param sizes_kb Capacity ladder in KB.
  * @param mode Curve computation path (see MrcMode).
- * @param threads Worker cap. No current mode uses it: one stream has
- *        nothing to fan out. It stays in the signature so callers'
- *        positional `assoc` and `line_bytes` keep their meaning.
+ * @param threads Worker cap (0 → hardware threads), passed to the
+ *        reader as ReaderOptions::jobs: it caps the chunk-parallel
+ *        decode. The sinks themselves stay serial, since one stream
+ *        has nothing to fan out.
  * @param assoc Oracle associativity (paper: 8); the stack-distance
  *        curve is fully associative by construction.
  * @param line_bytes Line size (paper: 64).

@@ -155,6 +155,12 @@ parseShmPolicy(const std::string &name, ShmPolicy &out)
     return true;
 }
 
+bool
+heartbeatFresh(uint64_t now_ns, uint64_t last_beat_ns, uint64_t timeout_ns)
+{
+    return last_beat_ns >= now_ns || now_ns - last_beat_ns <= timeout_ns;
+}
+
 ShmSuperblock *
 ShmRing::sb() const
 {
@@ -507,7 +513,7 @@ ShmRing::peerAlive(uint64_t now_ns) const
     }
     if (!attached)
         return true;
-    return now_ns - last_beat <= s->heartbeatTimeoutNs;
+    return heartbeatFresh(now_ns, last_beat, s->heartbeatTimeoutNs);
 }
 
 bool

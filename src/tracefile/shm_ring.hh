@@ -71,6 +71,15 @@ const char *toString(ShmPolicy policy);
  */
 bool parseShmPolicy(const std::string &name, ShmPolicy &out);
 
+/**
+ * Is a heartbeat last stamped at `last_beat_ns` fresh at `now_ns`?
+ * The peer's heartbeat thread may stamp its slot after the caller
+ * sampled the clock, so a beat at or after `now_ns` is fresh rather
+ * than ~2^64 ns old.
+ */
+bool heartbeatFresh(uint64_t now_ns, uint64_t last_beat_ns,
+                    uint64_t timeout_ns);
+
 struct ShmSuperblock;
 
 /**
@@ -357,6 +366,8 @@ class ShmSource : public TraceSource
     }
 
     const char *name() const override { return "shm"; }
+
+    bool stableViews() const override { return true; }
 
   private:
     std::shared_ptr<const std::vector<uint8_t>> stream;

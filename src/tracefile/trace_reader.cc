@@ -1,7 +1,12 @@
 #include "tracefile/trace_reader.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
+#include <exception>
+
+#include "base/worker_pool.hh"
+#include "tracefile/replay.hh"
 
 namespace wcrt {
 
@@ -194,6 +199,54 @@ decodeOp(Cursor &cur, uint64_t &prev_pc, uint64_t &prev_mem,
         a.targets[n] = 0;
 }
 
+/**
+ * Decode one op chunk's payload into `block`, the one chunk decoder
+ * every decode width calls. Chunks decode independently (pc and
+ * memory deltas restart at zero in each), so any thread may run it
+ * for any chunk. The interior goes through the unchecked SWAR fast
+ * cursor (maxEncodedOpBytes guarantees every read, including the
+ * 8-byte varint loads, stays in bounds); the tail falls back to the
+ * checked Decoder, so truncation still surfaces as a clean error.
+ * Ops are scattered straight into the SoA block — no intermediate
+ * MicroOp — and with MmapSource `payload` points into the mapping,
+ * so decode is zero-copy.
+ */
+void
+decodeChunk(const uint8_t *payload, const ChunkHeader &hdr,
+            OpBlock &block, const std::string &path)
+{
+    if (block.capacity() < hdr.opCount)
+        block = OpBlock(hdr.opCount);
+    block.clear();
+    BlockArrays arrays(block);
+    uint64_t prev_pc = 0;
+    uint64_t prev_mem = 0;
+    const uint8_t *end = payload + hdr.payloadBytes;
+    FastCursor fast{payload};
+    uint32_t i = 0;
+    while (i < hdr.opCount &&
+           static_cast<size_t>(end - fast.p) >= maxEncodedOpBytes) {
+        decodeOp(fast, prev_pc, prev_mem, arrays, i, path);
+        ++i;
+    }
+    Decoder dec(fast.p, static_cast<size_t>(end - fast.p));
+    CheckedCursor checked{dec};
+    for (; i < hdr.opCount; ++i)
+        decodeOp(checked, prev_pc, prev_mem, arrays, i, path);
+    if (dec.remaining() != 0)
+        throw TraceFormatError("trailing bytes in trace chunk: " + path);
+    block.setUsed(hdr.opCount);
+}
+
+/** One op chunk gathered into a decode wave. */
+struct WaveSlot
+{
+    const uint8_t *payload;
+    ChunkHeader hdr;
+    bool crcChecked = false;  //!< the payload CRC was computed and matched
+    std::exception_ptr error = nullptr;  //!< what CRC or decode threw
+};
+
 } // namespace
 
 TraceReader::TraceReader(const std::string &path)
@@ -274,6 +327,18 @@ TraceReader::readHeader()
     firstChunk = src->offset();
 }
 
+unsigned
+TraceReader::replayWidth() const
+{
+    // A buffer-reusing source can hold one payload at a time, and a
+    // thread already running a pool job must not fan out again: its
+    // enclosing cap counts it as one executor.
+    if (!src->stableViews() || WorkerPool::inJob())
+        return 1;
+    return static_cast<unsigned>(std::min<uint64_t>(
+        replayWorkers(readerOpts.jobs), std::max<uint64_t>(chunks, 1)));
+}
+
 uint64_t
 TraceReader::walkChunks(TraceSink *sink)
 {
@@ -286,110 +351,136 @@ TraceReader::walkChunks(TraceSink *sink)
         readerOpts.crc == CrcMode::Always ||
         (readerOpts.crc == CrcMode::Once &&
          !(fileBacked && traceVerifiedInProcess(filePath)));
+    unsigned width = 1;
+    if (sink) {
+        width = replayWidth();
+        lastWidth = width;
+        // Sized by the first chunk each one decodes, then reused by
+        // every later replay of this reader.
+        while (blocks.size() < width)
+            blocks.emplace_back(1);
+    }
+    std::vector<WaveSlot> wave;
+    wave.reserve(width);
     uint64_t ops_seen = 0;
     uint64_t chunks_seen = 0;
     uint64_t payload_seen = 0;
-    while (true) {
-        if (src->remaining() < 12)
-            throw TraceFormatError(
-                "trace truncated (missing footer): " + filePath);
-        const uint8_t *fixed = src->view(12);
-        ChunkHeader hdr{getU32(fixed), getU32(fixed + 4),
-                        getU32(fixed + 8)};
-        if (hdr.payloadBytes > src->remaining())
-            throw TraceFormatError("trace chunk truncated: " + filePath);
-        // A valid op encodes to at least 2 bytes, so an opCount above
-        // payloadBytes is structurally impossible; reject it before
-        // sizing the decode block off an untrusted u32.
-        if (hdr.opCount > hdr.payloadBytes)
-            throw TraceFormatError(
-                "trace chunk op count exceeds payload: " + filePath);
-
-        if (hdr.opCount == 0) {
-            // Footer chunk ends the file.
-            const uint8_t *payload = src->view(hdr.payloadBytes);
-            if (crc32(payload, hdr.payloadBytes) != hdr.crc)
-                throw TraceFormatError("trace footer CRC mismatch: " +
-                                       filePath);
-            Decoder dec(payload, hdr.payloadBytes);
-            footerOps = dec.varint();
-            footerIo.diskReadBytes = dec.varint();
-            footerIo.diskWriteBytes = dec.varint();
-            footerIo.networkBytes = dec.varint();
-            footerData.inputBytes = dec.varint();
-            footerData.intermediateBytes = dec.varint();
-            footerData.outputBytes = dec.varint();
-            if (dec.remaining() != 0)
-                throw TraceFormatError(
-                    "trailing bytes in trace footer: " + filePath);
-            if (src->remaining() != 0)
-                throw TraceFormatError(
-                    "trailing data after trace footer: " + filePath);
-            if (footerOps != ops_seen)
-                throw TraceFormatError(
-                    "trace op count mismatch (footer says " +
-                    std::to_string(footerOps) + ", chunks hold " +
-                    std::to_string(ops_seen) + "): " + filePath);
-            chunks = chunks_seen;
-            payloadTotal = payload_seen;
-            if (sink && check_crc && fileBacked)
-                markTraceVerified(filePath);
-            return ops_seen;
-        }
-
-        ++chunks_seen;
-        payload_seen += hdr.payloadBytes;
-        if (sink) {
-            const uint8_t *pay = src->view(hdr.payloadBytes);
-            if (check_crc) {
-                if (crc32(pay, hdr.payloadBytes) != hdr.crc)
+    bool at_footer = false;
+    while (!at_footer) {
+        // Gather: walk up to `width` chunk headers serially, with
+        // every structural check. A validation scan (no sink) gathers
+        // nothing and so walks every header in one go. A structural
+        // error is held back until the chunks before it are delivered,
+        // so it surfaces exactly where the serial walk would raise it.
+        wave.clear();
+        std::exception_ptr structural;
+        try {
+            while (!at_footer && wave.size() < width) {
+                if (src->remaining() < 12)
                     throw TraceFormatError(
-                        "trace chunk CRC mismatch: " + filePath);
-                ++crcChecks;
+                        "trace truncated (missing footer): " + filePath);
+                const uint8_t *fixed = src->view(12);
+                ChunkHeader hdr{getU32(fixed), getU32(fixed + 4),
+                                getU32(fixed + 8)};
+                if (hdr.payloadBytes > src->remaining())
+                    throw TraceFormatError("trace chunk truncated: " +
+                                           filePath);
+                // A valid op encodes to at least 2 bytes, so an
+                // opCount above payloadBytes is structurally
+                // impossible; reject it before sizing a decode block
+                // off an untrusted u32.
+                if (hdr.opCount > hdr.payloadBytes)
+                    throw TraceFormatError(
+                        "trace chunk op count exceeds payload: " +
+                        filePath);
+                if (hdr.opCount == 0) {
+                    // The footer chunk ends the file.
+                    readFooter(hdr.payloadBytes, hdr.crc, ops_seen);
+                    at_footer = true;
+                    break;
+                }
+                ++chunks_seen;
+                payload_seen += hdr.payloadBytes;
+                ops_seen += hdr.opCount;
+                if (sink)
+                    wave.push_back({src->view(hdr.payloadBytes), hdr});
+                else
+                    src->skip(hdr.payloadBytes);
             }
-            // Decode the whole chunk straight into the reusable SoA
-            // block, then hand its view to the sink in one
-            // consumeBatch call — no per-op virtual dispatch and no
-            // intermediate MicroOp on the replay path. With MmapSource
-            // `pay` points into the mapping, so decode is zero-copy.
-            // The chunk interior decodes through the unchecked SWAR
-            // fast cursor (maxEncodedOpBytes guarantees every read,
-            // including the 8-byte varint loads, stays in bounds); the
-            // tail falls back to the checked Decoder, so truncation
-            // still surfaces as a clean error.
-            if (block.capacity() < hdr.opCount)
-                block = OpBlock(hdr.opCount);
-            block.clear();
-            BlockArrays arrays(block);
-            uint64_t prev_pc = 0;
-            uint64_t prev_mem = 0;
-            const uint8_t *pay_end = pay + hdr.payloadBytes;
-            FastCursor fast{pay};
-            uint32_t i = 0;
-            while (i < hdr.opCount &&
-                   static_cast<size_t>(pay_end - fast.p) >=
-                       maxEncodedOpBytes) {
-                decodeOp(fast, prev_pc, prev_mem, arrays, i, filePath);
-                ++i;
-            }
-            Decoder dec(fast.p,
-                        static_cast<size_t>(pay_end - fast.p));
-            CheckedCursor checked{dec};
-            for (; i < hdr.opCount; ++i)
-                decodeOp(checked, prev_pc, prev_mem, arrays, i,
-                         filePath);
-            if (dec.remaining() != 0)
-                throw TraceFormatError(
-                    "trailing bytes in trace chunk: " + filePath);
-            block.setUsed(hdr.opCount);
-            sink->consumeBatch(block.view());
-        } else {
-            // Validation scan: chunk bounds are checked above and the
-            // payload CRC is verified on decode, so just skip ahead.
-            src->skip(hdr.payloadBytes);
+        } catch (...) {
+            structural = std::current_exception();
         }
-        ops_seen += hdr.opCount;
+
+        // Decode: CRC (per CrcMode) plus decodeChunk for every slot
+        // of the wave, on up to `width` threads with this one taking
+        // part. Each slot keeps its own error; none escapes a thread.
+        auto decode = [&](size_t i) {
+            WaveSlot &slot = wave[i];
+            try {
+                if (check_crc) {
+                    if (crc32(slot.payload, slot.hdr.payloadBytes) !=
+                        slot.hdr.crc)
+                        throw TraceFormatError(
+                            "trace chunk CRC mismatch: " + filePath);
+                    slot.crcChecked = true;
+                }
+                decodeChunk(slot.payload, slot.hdr, blocks[i], filePath);
+            } catch (...) {
+                slot.error = std::current_exception();
+            }
+        };
+        if (wave.size() == 1)
+            decode(0);
+        else if (wave.size() > 1)
+            WorkerPool::shared().runBounded(
+                wave.size(), static_cast<unsigned>(wave.size()), decode);
+
+        // Deliver in file order, one consumeBatch per chunk; the
+        // first failing chunk stops delivery just as the serial walk
+        // would.
+        for (size_t i = 0; i < wave.size(); ++i) {
+            if (wave[i].crcChecked)
+                ++crcChecks;
+            if (wave[i].error)
+                std::rethrow_exception(wave[i].error);
+            sink->consumeBatch(blocks[i].view());
+        }
+        if (structural)
+            std::rethrow_exception(structural);
     }
+    chunks = chunks_seen;
+    payloadTotal = payload_seen;
+    if (sink && check_crc && fileBacked)
+        markTraceVerified(filePath);
+    return ops_seen;
+}
+
+void
+TraceReader::readFooter(uint32_t payload_bytes, uint32_t crc,
+                        uint64_t ops_seen)
+{
+    const uint8_t *payload = src->view(payload_bytes);
+    if (crc32(payload, payload_bytes) != crc)
+        throw TraceFormatError("trace footer CRC mismatch: " + filePath);
+    Decoder dec(payload, payload_bytes);
+    footerOps = dec.varint();
+    footerIo.diskReadBytes = dec.varint();
+    footerIo.diskWriteBytes = dec.varint();
+    footerIo.networkBytes = dec.varint();
+    footerData.inputBytes = dec.varint();
+    footerData.intermediateBytes = dec.varint();
+    footerData.outputBytes = dec.varint();
+    if (dec.remaining() != 0)
+        throw TraceFormatError("trailing bytes in trace footer: " +
+                               filePath);
+    if (src->remaining() != 0)
+        throw TraceFormatError("trailing data after trace footer: " +
+                               filePath);
+    if (footerOps != ops_seen)
+        throw TraceFormatError(
+            "trace op count mismatch (footer says " +
+            std::to_string(footerOps) + ", chunks hold " +
+            std::to_string(ops_seen) + "): " + filePath);
 }
 
 void

@@ -9,9 +9,16 @@
  * unchanged. Replay is block-based: each chunk is decoded into a
  * reusable op block and handed to the sink with one consumeBatch()
  * call, so a chunk-sized stretch of the stream crosses the sink
- * boundary per virtual dispatch instead of a single op. A reader can
- * replay its file any number of times; for parallel replay open one
- * reader per thread (see tracefile/replay.hh).
+ * boundary per virtual dispatch instead of a single op.
+ *
+ * Chunks decode independently, so a replay decodes them in waves of
+ * up to decodeWidth() chunks on WorkerPool::shared(), the calling
+ * thread taking part, and still delivers them strictly in file order.
+ * Output, batch boundaries and errors are the same at every width:
+ * a failing chunk is reported after the sink has received exactly
+ * the chunks before it. A reader can replay its file any number of
+ * times; one reader is not safe to use from two threads at once (for
+ * parallel replays open one reader per thread, tracefile/replay.hh).
  *
  * File bytes arrive through a TraceSource (tracefile/trace_source.hh):
  * by default the file is memory-mapped and chunk payloads are decoded
@@ -118,6 +125,15 @@ class TraceReader
      */
     uint64_t chunkCrcChecks() const { return crcChecks; }
 
+    /**
+     * Threads the most recent replay decoded its chunks on, this one
+     * included (0 before the first replay). It is
+     * min(replayWorkers(options().jobs), chunkCount()), or 1 when the
+     * source reuses its read buffer (TraceIo::Stream) or the replay
+     * runs inside a pool or parallelFor job.
+     */
+    unsigned decodeWidth() const { return lastWidth; }
+
   private:
     void readHeader();
     void scanFooter();
@@ -128,13 +144,21 @@ class TraceReader
      */
     uint64_t walkChunks(TraceSink *sink);
 
+    /** Parse and check the footer chunk; `ops_seen` from the chunks. */
+    void readFooter(uint32_t payload_bytes, uint32_t crc,
+                    uint64_t ops_seen);
+
+    /** Decode width for a replay starting now (see decodeWidth()). */
+    unsigned replayWidth() const;
+
     std::string filePath;
     ReaderOptions readerOpts;
     std::unique_ptr<TraceSource> src;
     bool fileBacked = true;  //!< false bars the CRC trust registry
-    OpBlock block;  //!< reusable decode target, one chunk at a time
+    std::vector<OpBlock> blocks;  //!< one decode target per wave slot
     uint64_t firstChunk = 0;
     uint64_t crcChecks = 0;
+    unsigned lastWidth = 0;
     TraceMeta fileMeta;
     std::vector<CodeLayout::Function> regionTable;
     IoCounters footerIo;

@@ -139,6 +139,8 @@ class MmapSource : public TraceSource
 
     const char *name() const override { return "mmap"; }
 
+    bool stableViews() const override { return true; }
+
   private:
     const uint8_t *base = nullptr;
 };

@@ -50,11 +50,17 @@ enum class CrcMode : uint8_t {
     Never,   //!< trust chunk payloads outright
 };
 
-/** Reader policy: io transport + CRC trust level. */
+/** Reader policy: io transport + CRC trust level + decode width. */
 struct ReaderOptions
 {
     TraceIo io = TraceIo::Auto;
     CrcMode crc = CrcMode::Always;
+    /**
+     * Cap on the threads that decode one replay's chunks (the caller
+     * included); 0 = all hardware threads, the same rule as every
+     * other pooled path (replayWorkers()).
+     */
+    unsigned jobs = 0;
 };
 
 /** CLI spelling of an io mode: auto / stream / mmap. */
@@ -82,7 +88,8 @@ bool mmapAvailable();
  * Process-wide default ReaderOptions, used by every TraceReader (and
  * therefore every replay runner) that is not handed explicit options.
  * `trace_tool --io=... --verify-crc=...` and `scenario_tool` set this
- * once at startup; the default is {Auto, Always}.
+ * once at startup, with `--jobs` as the decode cap; the default is
+ * {Auto, Always, 0}.
  */
 ReaderOptions defaultReaderOptions();
 void setDefaultReaderOptions(const ReaderOptions &opts);
@@ -140,6 +147,13 @@ class TraceSource
 
     /** Transport name for stats output: "stream" or "mmap". */
     virtual const char *name() const = 0;
+
+    /**
+     * True when every view stays valid for the source's lifetime, so
+     * several chunk payloads can be held (and decoded in parallel)
+     * at once. False for a source that reuses one buffer per view.
+     */
+    virtual bool stableViews() const { return false; }
 
   protected:
     uint64_t fileBytes = 0;

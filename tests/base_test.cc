@@ -10,6 +10,7 @@
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -309,6 +310,33 @@ TEST(WorkerPool, RunBoundedRespectsExecutorCap)
     });
     EXPECT_LE(high_water.load(), 2);
     EXPECT_GE(high_water.load(), 1);
+}
+
+TEST(WorkerPool, InJobMarksEveryExecutingThread)
+{
+    // Pool threads and the helping caller alike run each index inside
+    // a JobScope; the flag is restored once the job returns or throws.
+    EXPECT_FALSE(WorkerPool::inJob());
+    std::atomic<int> outside{0};
+    WorkerPool::shared().runBounded(64, 4, [&](size_t) {
+        if (!WorkerPool::inJob())
+            outside.fetch_add(1, std::memory_order_relaxed);
+    });
+    EXPECT_EQ(outside.load(), 0);
+    EXPECT_FALSE(WorkerPool::inJob());
+    EXPECT_THROW(WorkerPool::shared().runBounded(
+                     1, 1, [](size_t) { throw std::runtime_error("x"); }),
+                 std::runtime_error);
+    EXPECT_FALSE(WorkerPool::inJob());
+    {
+        WorkerPool::JobScope outer;
+        {
+            WorkerPool::JobScope inner;
+            EXPECT_TRUE(WorkerPool::inJob());
+        }
+        EXPECT_TRUE(WorkerPool::inJob());
+    }
+    EXPECT_FALSE(WorkerPool::inJob());
 }
 
 TEST(WorkerPool, NestedRunBoundedDoesNotDeadlock)

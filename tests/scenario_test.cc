@@ -130,12 +130,23 @@ TEST(ScenarioSpecTest, AccumulatesEverySemanticIssue)
         "group G = H-Grep, No-Such-Workload\n"
         "[generators]\n"
         "g = warble(3)\n"
+        "z = zipf(3abc, 0.9)\n"
+        "huge = zipf(1e12, 0.9)\n"
+        "vocab = words(4, 1e12)\n"
+        "skew = zipf(100, 0.9x)\n"
+        "doc = bytes(-1)\n"
+        "lo = uniform(1-, 2)\n"
         "[matrix]\n"
         "machine = xeon\n"));
     EXPECT_FALSE(parse.ok());
     for (const char *issue :
          {"unknown key 'frobnicate'", "unknown workload 'No-Such-Workload'",
-          "unknown generator kind", "bad seed '-1'",
+          "unknown generator kind",
+          "bad zipf rank count '3abc' in 'zipf(3abc, 0.9)' "
+          "(expected 1..16777216)",
+          "bad zipf rank count '1e12'", "bad words vocabulary '1e12'",
+          "bad zipf exponent '0.9x' in 'zipf(100, 0.9x)' (expected 0..16)",
+          "bad bytes length '-1'", "bad uniform low '1-'", "bad seed '-1'",
           "bad assoc '4294967296' (expected 1..65536)",
           "bad line-bytes '48' (expected a power of two in 1..65536)",
           "bad sizes-kb entry '4294967312' (expected 1..4194304)",
@@ -305,6 +316,22 @@ TEST(GeneratorTest, ParseValidatesSpecs)
     EXPECT_FALSE(ValueGen::parse("uniform(9, 1)", gen, err));
     EXPECT_FALSE(ValueGen::parse("warble(1)", gen, err));
     EXPECT_FALSE(ValueGen::parse("zipf", gen, err));
+
+    // Signed reals where a negative value makes sense, and only there.
+    EXPECT_TRUE(ValueGen::parse("uniform(-5, -1.5)", gen, err)) << err;
+    EXPECT_EQ(gen.spec(), "uniform(-5, -1.5)");
+    EXPECT_TRUE(ValueGen::parse("gauss(-3, 0.5)", gen, err)) << err;
+    EXPECT_FALSE(ValueGen::parse("gauss(0, -1)", gen, err));
+    EXPECT_NE(err.find("bad gauss deviation '-1'"), std::string::npos);
+    EXPECT_FALSE(ValueGen::parse("zipf(10, -0.5)", gen, err));
+    EXPECT_FALSE(ValueGen::parse("uniform(--1, 2)", gen, err));
+    EXPECT_FALSE(ValueGen::parse("uniform(0, 1e16)", gen, err));
+    EXPECT_FALSE(ValueGen::parse("gauss(nan, 1)", gen, err));
+    EXPECT_FALSE(ValueGen::parse("bytes(1048577)", gen, err));
+    EXPECT_FALSE(ValueGen::parse("words(0, 10)", gen, err));
+    EXPECT_FALSE(ValueGen::parse("bytes(8,)", gen, err));
+    EXPECT_NE(err.find("bytes() takes 1 arguments, got 2"),
+              std::string::npos);
 }
 
 TEST(GeneratorTest, DrawsAreOrderIndependent)

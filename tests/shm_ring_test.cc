@@ -311,6 +311,21 @@ TEST(ShmRing, WrapAroundAtEveryOffset)
     ShmRing::unlink(name);
 }
 
+TEST(ShmRing, HeartbeatFreshnessNeverWraps)
+{
+    constexpr uint64_t timeout = 2'000'000'000ull;
+    constexpr uint64_t now = 5'000'000'000ull;
+    EXPECT_TRUE(heartbeatFresh(now, now, timeout));
+    EXPECT_TRUE(heartbeatFresh(now, now - timeout, timeout));
+    EXPECT_FALSE(heartbeatFresh(now, now - timeout - 1, timeout));
+    EXPECT_FALSE(heartbeatFresh(now, 0, timeout));
+    // The peer beat after the caller read the clock: unsigned
+    // now - last_beat would wrap to ~2^64 and read as long dead.
+    EXPECT_TRUE(heartbeatFresh(now, now + 1, timeout));
+    EXPECT_TRUE(heartbeatFresh(now, now + timeout * 10, timeout));
+    EXPECT_TRUE(heartbeatFresh(0, UINT64_MAX, 0));
+}
+
 TEST(ShmRing, FullRingBlockBackpressureLosesNothing)
 {
     if (!shmAvailable())

@@ -17,6 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "base/worker_pool.hh"
+#include "core/metrics.hh"
 #include "core/profiler.hh"
 #include "core/trace_cache.hh"
 #include "sim/footprint.hh"
@@ -762,6 +764,218 @@ TEST(TraceSourceParity, CorruptFixturesFailIdentically)
     fs::remove(path);
 }
 
+// ------------------------------------------ chunk-parallel decode
+
+/** A real workload's op stream, rewritten into many small chunks. */
+std::vector<MicroOp>
+writeWorkloadChunks(const std::string &path, uint32_t chunk_ops)
+{
+    RecordingSink live;
+    WorkloadPtr w = findWorkload("M-WordCount").make(0.1);
+    runThroughSink(*w, live);
+    writeSample(path, live.ops, chunk_ops);
+    return live.ops;
+}
+
+ReaderOptions
+decodeJobs(unsigned jobs, CrcMode crc = CrcMode::Always)
+{
+    ReaderOptions opts;
+    opts.io = TraceIo::Mmap;
+    opts.crc = crc;
+    opts.jobs = jobs;
+    return opts;
+}
+
+TEST(TraceFile, ParallelDecodeMatchesSerial)
+{
+    if (!mmapAvailable())
+        GTEST_SKIP() << "no mmap on this platform";
+    std::string path = tempTracePath("parallel-decode");
+    // 4099-op chunks: dozens of chunks, a ragged last wave and a
+    // ragged last chunk.
+    std::vector<MicroOp> ops = writeWorkloadChunks(path, 4099);
+
+    TraceReader serial(path, decodeJobs(1));
+    TraceReader parallel(path, decodeJobs(4));
+    ASSERT_GT(serial.chunkCount(), 8u);
+    ASSERT_NE(serial.chunkCount() % 4, 0u);
+
+    BatchRecordingSink a;
+    BatchRecordingSink b;
+    EXPECT_EQ(serial.replayInto(a), ops.size());
+    EXPECT_EQ(parallel.replayInto(b), ops.size());
+    EXPECT_EQ(serial.decodeWidth(), 1u);
+    EXPECT_EQ(parallel.decodeWidth(), 4u);
+    expectOpsEqual(ops, a.ops);
+    expectOpsEqual(a.ops, b.ops);
+    EXPECT_EQ(a.batchSizes, b.batchSizes);
+    EXPECT_EQ(b.batchSizes.size(), parallel.chunkCount());
+
+    // The real sinks, each replayed at both widths.
+    auto report = [&](TraceReader &reader) {
+        SimCpu cpu(xeonE5645());
+        reader.replayInto(cpu);
+        CpuReport r = cpu.report();
+        MetricVector m = toMetricVector(r);
+        std::vector<double> out(m.begin(), m.end());
+        out.push_back(static_cast<double>(r.instructions));
+        out.push_back(r.cycles);
+        return out;
+    };
+    EXPECT_EQ(report(serial), report(parallel));
+
+    MixCounter mix_a;
+    MixCounter mix_b;
+    serial.replayInto(mix_a);
+    parallel.replayInto(mix_b);
+    EXPECT_EQ(mix_a.total(), mix_b.total());
+    for (size_t k = 0; k < numOpKinds; ++k)
+        EXPECT_EQ(mix_a.count(static_cast<OpKind>(k)),
+                  mix_b.count(static_cast<OpKind>(k)))
+            << "kind " << k;
+    EXPECT_EQ(mix_a.dataMovementRatio(), mix_b.dataMovementRatio());
+
+    std::vector<uint32_t> ladder{16, 64, 256, 1024};
+    StackDistanceProfile prof_a;
+    StackDistanceProfile prof_b;
+    serial.replayInto(prof_a);
+    parallel.replayInto(prof_b);
+    for (auto kind : {SweepKind::Instruction, SweepKind::Data,
+                      SweepKind::Unified}) {
+        EXPECT_EQ(prof_a.missRatios(kind, ladder),
+                  prof_b.missRatios(kind, ladder));
+        EXPECT_EQ(prof_a.distinctLines(kind), prof_b.distinctLines(kind));
+    }
+    fs::remove(path);
+}
+
+/** File offset of every op chunk's payload, in file order. */
+std::vector<size_t>
+chunkPayloadOffsets(const std::vector<uint8_t> &bytes)
+{
+    auto u32 = [&](size_t at) {
+        return static_cast<uint32_t>(bytes[at]) |
+               static_cast<uint32_t>(bytes[at + 1]) << 8 |
+               static_cast<uint32_t>(bytes[at + 2]) << 16 |
+               static_cast<uint32_t>(bytes[at + 3]) << 24;
+    };
+    std::vector<size_t> out;
+    size_t at = 16 + u32(8);  // past the file header
+    while (u32(at) != 0) {    // op count 0 marks the footer
+        out.push_back(at + 12);
+        at += 12 + u32(at + 4);
+    }
+    return out;
+}
+
+/** What one replay attempt left behind. */
+struct ReplayOutcome
+{
+    std::string error;
+    std::vector<size_t> batchSizes;
+    uint64_t crcChecks = 0;
+};
+
+ReplayOutcome
+replayOutcome(const std::string &path, const ReaderOptions &opts)
+{
+    ReplayOutcome out;
+    TraceReader reader(path, opts);
+    BatchRecordingSink sink;
+    try {
+        reader.replayInto(sink);
+    } catch (const TraceFormatError &err) {
+        out.error = err.what();
+    }
+    out.batchSizes = sink.batchSizes;
+    out.crcChecks = reader.chunkCrcChecks();
+    return out;
+}
+
+TEST(TraceFile, ParallelDecodeReportsCorruptChunkLikeSerial)
+{
+    if (!mmapAvailable())
+        GTEST_SKIP() << "no mmap on this platform";
+    std::string path = tempTracePath("parallel-corrupt");
+    std::vector<MicroOp> ops;
+    auto sample = awkwardOps();
+    for (int rep = 0; rep < 40; ++rep)
+        for (const auto &op : sample)
+            ops.push_back(op);
+    writeSample(path, ops, 7);
+    const std::vector<uint8_t> pristine = readFileBytes(path);
+    const std::vector<size_t> payloads = chunkPayloadOffsets(pristine);
+    ASSERT_GT(payloads.size(), 12u);
+
+    // Corrupt chunk k's first flags byte into an invalid op kind: the
+    // CRC pass catches it under Always, the decoder under Never. Chunk
+    // 0 opens the first wave, 5 sits mid-wave, 8 opens the third wave
+    // at width 4, and the last chunk ends a ragged wave.
+    for (size_t k : {size_t{0}, size_t{5}, size_t{8}, payloads.size() - 1}) {
+        std::vector<uint8_t> bytes = pristine;
+        bytes[payloads[k]] = 0x0f;
+        writeFileBytes(path, bytes, bytes.size());
+        for (CrcMode crc : {CrcMode::Always, CrcMode::Never}) {
+            SCOPED_TRACE("chunk " + std::to_string(k) + ", crc " +
+                         toString(crc));
+            ReplayOutcome serial = replayOutcome(path, decodeJobs(1, crc));
+            ReplayOutcome parallel =
+                replayOutcome(path, decodeJobs(4, crc));
+            EXPECT_NE(serial.error.find(crc == CrcMode::Always
+                                            ? "CRC mismatch"
+                                            : "invalid op kind"),
+                      std::string::npos)
+                << serial.error;
+            EXPECT_EQ(parallel.error, serial.error);
+            // The sink saw exactly the chunks before k, whole.
+            EXPECT_EQ(serial.batchSizes, std::vector<size_t>(k, 7));
+            EXPECT_EQ(parallel.batchSizes, serial.batchSizes);
+            // A chunk whose CRC matched counts as checked even when
+            // its decode then fails, at either width.
+            size_t checked = crc == CrcMode::Always ? k : 0;
+            EXPECT_EQ(serial.crcChecks, checked);
+            EXPECT_EQ(parallel.crcChecks, checked);
+        }
+    }
+    fs::remove(path);
+}
+
+TEST(TraceFile, ParallelDecodeKeepsCrcCounts)
+{
+    if (!mmapAvailable())
+        GTEST_SKIP() << "no mmap on this platform";
+    for (unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        // A fresh path per width, so Once starts untrusted each time.
+        std::string path =
+            tempTracePath("parallel-crc-" + std::to_string(jobs));
+        writeSample(path, awkwardOps(), 3);
+        RecordingSink sink;
+
+        // Once first: any full checked replay promotes the file.
+        TraceReader once(path, decodeJobs(jobs, CrcMode::Once));
+        once.replayInto(sink);
+        once.replayInto(sink);
+        EXPECT_EQ(once.chunkCrcChecks(), once.chunkCount());
+        TraceReader again(path, decodeJobs(jobs, CrcMode::Once));
+        again.replayInto(sink);
+        EXPECT_EQ(again.chunkCrcChecks(), 0u);
+
+        TraceReader always(path, decodeJobs(jobs, CrcMode::Always));
+        always.replayInto(sink);
+        always.replayInto(sink);
+        EXPECT_EQ(always.chunkCrcChecks(), 2 * always.chunkCount());
+        EXPECT_EQ(always.decodeWidth(),
+                  std::min<uint64_t>(jobs, always.chunkCount()));
+
+        TraceReader never(path, decodeJobs(jobs, CrcMode::Never));
+        never.replayInto(sink);
+        EXPECT_EQ(never.chunkCrcChecks(), 0u);
+        fs::remove(path);
+    }
+}
+
 // --------------------------------------------------- CRC trust ladder
 
 TEST(CrcElision, OnceVerifiesThenElides)
@@ -1200,6 +1414,68 @@ TEST(Replay, TracesOnJobsOneMatchesJobsMany)
     }
     for (const auto &path : paths)
         fs::remove(path);
+}
+
+TEST(Replay, ReaderInsideJobDecodesSerially)
+{
+    if (!mmapAvailable())
+        GTEST_SKIP() << "no mmap on this platform";
+    std::string path = tempTracePath("width-in-job");
+    writeWorkloadChunks(path, 4099);
+    auto width = [&](const ReaderOptions &opts) {
+        TraceReader reader(path, opts);
+        CountingSink sink;
+        reader.replayInto(sink);
+        return reader.decodeWidth();
+    };
+
+    EXPECT_EQ(width(decodeJobs(4)), 4u);
+    EXPECT_EQ(width(decodeJobs(2)), 2u);
+    // The width never exceeds the chunk count.
+    {
+        TraceReader reader(path, decodeJobs(4096));
+        CountingSink sink;
+        reader.replayInto(sink);
+        EXPECT_EQ(reader.decodeWidth(), reader.chunkCount());
+    }
+    // A buffer-reusing transport holds one payload at a time.
+    ReaderOptions stream = decodeJobs(4);
+    stream.io = TraceIo::Stream;
+    EXPECT_EQ(width(stream), 1u);
+
+    // Inside a job — pooled or parallelFor's serial path — the
+    // enclosing cap already counts this thread, so decode stays
+    // serial and never submits a nested ticket.
+    std::vector<unsigned> pooled(3);
+    parallelFor(pooled.size(),
+                [&](size_t i) { pooled[i] = width(decodeJobs(4)); }, 3);
+    for (unsigned w : pooled)
+        EXPECT_EQ(w, 1u);
+    unsigned serial_job = 0;
+    parallelFor(1, [&](size_t) { serial_job = width(decodeJobs(4)); }, 4);
+    EXPECT_EQ(serial_job, 1u);
+    EXPECT_EQ(width(decodeJobs(4)), 4u);
+    fs::remove(path);
+}
+
+TEST(Replay, SweepLadderPassesJobsToDecode)
+{
+    // replaySweepLadder's worker cap goes to the reader: the curve is
+    // the same at every decode width.
+    std::string path = tempTracePath("ladder-jobs");
+    writeWorkloadChunks(path, 4099);
+    std::vector<uint32_t> ladder{16, 64, 256};
+    for (MrcMode mode :
+         {MrcMode::StackDistance, MrcMode::Oracle, MrcMode::Verify}) {
+        SCOPED_TRACE(toString(mode));
+        MrcResult one =
+            replaySweepLadder(path, SweepKind::Data, ladder, mode, 1);
+        MrcResult four =
+            replaySweepLadder(path, SweepKind::Data, ladder, mode, 4);
+        EXPECT_EQ(one.ratios, four.ratios);
+        EXPECT_EQ(one.oracleRatios, four.oracleRatios);
+    }
+    fs::remove(path);
 }
 
 TEST(Replay, SweepInsidePooledReplayDoesNotDeadlock)
