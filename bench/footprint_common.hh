@@ -98,9 +98,9 @@ liveSweep(const WorkloadEntry &entry, SweepKind kind, double scale)
         runThroughSink(*w, sweep);
         return sweep.missRatios(kind);
     }
-    StackDistanceProfile profile(kind);
+    LadderStackProfile profile(kind, paperSweepSizesKb());
     runThroughSink(*w, profile);
-    return profile.missRatios(kind, paperSweepSizesKb());
+    return profile.missRatios();
 }
 
 /** Absolute path of a checked-in scenario file. */

@@ -587,7 +587,7 @@ BENCHMARK(BM_ReplaySimCpuBatch);
  * replay, which is exactly what the batch path's line-id precompute,
  * run-length compression and set-MRU repeat memos attack. The sweep
  * is the serial set-associative oracle; the default MRC path is the
- * kind-scoped stack-distance profile of BM_MrcSingleKind.
+ * ladder-bounded stack profile of BM_MrcLadder.
  */
 void
 BM_ReplaySweepPerOp(benchmark::State &state)
@@ -633,10 +633,11 @@ BM_MrcSinglePass(benchmark::State &state)
 BENCHMARK(BM_MrcSinglePass)->UseRealTime();
 
 /**
- * The profile replaySweepLadder builds: scoped to the instruction
- * stream (Figure 6's curve), serial, so the data and unified streams
- * are never compressed or walked. Beside BM_MrcSinglePass, which
- * profiles all three streams, the pair shows what the scoping saves.
+ * The Fenwick profile scoped to the instruction stream (Figure 6's
+ * curve), serial, so the data and unified streams are never
+ * compressed or walked. Beside BM_MrcSinglePass, which profiles all
+ * three streams, the pair shows what the scoping saves; beside
+ * BM_MrcLadder, what the marker stack saves over the Fenwick tree.
  */
 void
 BM_MrcSingleKind(benchmark::State &state)
@@ -655,6 +656,29 @@ BM_MrcSingleKind(benchmark::State &state)
     state.SetItemsProcessed(static_cast<int64_t>(ops_read));
 }
 BENCHMARK(BM_MrcSingleKind)->UseRealTime();
+
+/**
+ * The profile replaySweepLadder builds since the marker stack: the
+ * same instruction stream and serial decode as BM_MrcSingleKind, into
+ * the LadderStackProfile for the fig6 ladder. The pair is the
+ * same-box A/B of the two profiles; their curves are bit-identical.
+ */
+void
+BM_MrcLadder(benchmark::State &state)
+{
+    TraceReader reader(replayBenchTrace(), serialDecode());
+    auto sizes = paperSweepSizesKb();
+    uint64_t ops_read = 0;
+    double sink = 0.0;
+    for (auto _ : state) {
+        LadderStackProfile profile(SweepKind::Instruction, sizes);
+        ops_read += reader.replayInto(profile);
+        sink += profile.missRatios().back();
+    }
+    benchmark::DoNotOptimize(sink);
+    state.SetItemsProcessed(static_cast<int64_t>(ops_read));
+}
+BENCHMARK(BM_MrcLadder)->UseRealTime();
 
 // The threaded rows measure wall time: CPU-time-based items/s would
 // count only the calling thread while the pool does the work,

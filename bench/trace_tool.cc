@@ -554,16 +554,13 @@ cmdAttach(const Options &opt)
                       << probe.ioName() << "\n";
 
             if (opt.mrc) {
-                // Mirror replaySweepLadder's StackDistance mode (a
-                // profile scoped to the one stream) so the curve is
-                // bit-identical to `trace_tool mrc` on the equivalent
-                // file.
-                StackDistanceProfile profile(opt.kind, opt.lineBytes);
+                // replaySweepLadder's StackDistance mode on the
+                // drained stream, so the curve is bit-identical to
+                // `trace_tool mrc` on the equivalent file.
                 TraceReader reader(
                     std::make_unique<ShmSource>(streams[i]), display);
-                reader.replayInto(profile);
-                std::vector<double> ratios =
-                    profile.missRatios(opt.kind, opt.sizes);
+                std::vector<double> ratios = replayStackMrc(
+                    reader, opt.kind, opt.sizes, opt.lineBytes);
                 Table t({"cache KB", "miss%"});
                 for (size_t j = 0; j < opt.sizes.size(); ++j) {
                     t.cell(static_cast<uint64_t>(opt.sizes[j]));

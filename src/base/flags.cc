@@ -176,7 +176,11 @@ flagHelp(const std::string &tool, const std::vector<FlagCommand> &commands)
         if (!cmd.args.empty())
             line += " " + cmd.args;
         for (const Flag &f : cmd.flags) {
-            std::string tok = "[" + spelling(f) + "]";
+            // Appended, not `"[" + spelling(f) + "]"`: that spelling
+            // trips a GCC 12 -Wrestrict false positive at -O3.
+            std::string tok = "[";
+            tok += spelling(f);
+            tok += "]";
             if (line.size() + 1 + tok.size() > 76) {
                 os << line << "\n";
                 line = indent;

@@ -4,7 +4,7 @@
  * sinks.
  *
  * Both miss-ratio paths — the rung-laddered FootprintSweep and the
- * single-pass StackDistanceProfile — consume the same three reference
+ * single-pass stack profiles — consume the same three reference
  * streams (instruction, data, unified) and both want them as
  * run-length-compressed line ids rather than raw ops: consecutive
  * accesses to the same line are guaranteed MRU hits in any LRU cache

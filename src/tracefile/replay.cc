@@ -103,6 +103,15 @@ parseMrcMode(const std::string &name, MrcMode &out)
     return true;
 }
 
+std::vector<double>
+replayStackMrc(TraceReader &reader, SweepKind kind,
+               const std::vector<uint32_t> &sizes_kb, uint32_t line_bytes)
+{
+    LadderStackProfile profile(kind, sizes_kb, line_bytes);
+    reader.replayInto(profile);
+    return profile.missRatios();
+}
+
 MrcResult
 replaySweepLadder(const std::string &trace_path, SweepKind kind,
                   const std::vector<uint32_t> &sizes_kb, MrcMode mode,
@@ -121,10 +130,8 @@ replaySweepLadder(const std::string &trace_path, SweepKind kind,
     opts.jobs = threads;
     switch (mode) {
       case MrcMode::StackDistance: {
-        StackDistanceProfile profile(kind, line_bytes);
         TraceReader reader(trace_path, opts);
-        reader.replayInto(profile);
-        result.ratios = profile.missRatios(kind, sizes_kb);
+        result.ratios = replayStackMrc(reader, kind, sizes_kb, line_bytes);
         break;
       }
       case MrcMode::Oracle: {
@@ -139,14 +146,14 @@ replaySweepLadder(const std::string &trace_path, SweepKind kind,
         // block to both the profile and the sweep, so the comparison
         // can never be skewed by two decodes seeing different chunk
         // boundaries.
-        StackDistanceProfile profile(kind, line_bytes);
+        LadderStackProfile profile(kind, sizes_kb, line_bytes);
         FootprintSweep sweep(sizes_kb, assoc, line_bytes, kind);
         TeeSink tee(0);
         tee.addSink(&profile);
         tee.addSink(&sweep);
         TraceReader reader(trace_path, opts);
         reader.replayInto(tee);
-        result.ratios = profile.missRatios(kind, sizes_kb);
+        result.ratios = profile.missRatios();
         result.oracleRatios = sweep.missRatios(kind);
         for (size_t i = 0; i < result.ratios.size(); ++i)
             result.maxDivergence = std::max(

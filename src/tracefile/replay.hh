@@ -63,13 +63,16 @@ std::vector<CpuReport> replayOnConfigs(
  * How a miss-ratio curve (MRC) is computed from a trace.
  *
  * StackDistance is the primary path: one decode pass feeds one
- * Mattson reuse-distance profile and the whole curve — any ladder —
- * falls out of the distance histogram (fully-associative LRU;
- * sim/stack_distance.hh). Oracle is the validation path: the
- * set-associative FootprintSweep, bit-exact for the paper's 8-way
- * rungs, at the cost of one serial tag walk per rung. Verify runs
- * both over a single decode pass and reports the maximum divergence
- * between the curves.
+ * Mattson marker-stack profile built for the requested ladder
+ * (LadderStackProfile, fully-associative LRU; sim/stack_distance.hh),
+ * which counts each reuse into the rung band it falls in — O(1) for a
+ * reuse within the smallest rung, where nearly all of them land. Its
+ * curve is bit-identical to the any-ladder Fenwick histogram of
+ * StackDistanceProfile, the oracle the tests hold it to. Oracle is
+ * the validation path: the set-associative FootprintSweep, bit-exact
+ * for the paper's 8-way rungs, at the cost of one serial tag walk per
+ * rung. Verify runs both over a single decode pass and reports the
+ * maximum divergence between the curves.
  */
 enum class MrcMode : uint8_t { StackDistance, Oracle, Verify };
 
@@ -110,6 +113,17 @@ struct MrcResult
     /** max |ratios - oracleRatios| over the ladder (Verify only). */
     double maxDivergence = 0.0;
 };
+
+/**
+ * The StackDistance-mode curve of one reader: replays it into a
+ * LadderStackProfile scoped to `kind` and built for `sizes_kb`, and
+ * returns the miss ratio per rung in ladder order. replaySweepLadder
+ * and `trace_tool attach --mrc` both call it, so a drained ring and
+ * the equivalent file give == curves.
+ */
+std::vector<double> replayStackMrc(TraceReader &reader, SweepKind kind,
+                                   const std::vector<uint32_t> &sizes_kb,
+                                   uint32_t line_bytes = 64);
 
 /**
  * Replay one trace across a cache-capacity ladder in the selected

@@ -1,26 +1,33 @@
 /**
  * @file
  * Tests for the single-pass stack-distance MRC layer: bit-exact
- * equivalence between the Mattson profile's curve and the
+ * equivalence between both Mattson profiles' curves and the
  * fully-associative LRU cache sweep on randomized traces under every
- * delivery partition, the compaction and parallel paths, the
- * kind-scoped profile against the same stream of the all-streams one
- * (and its fatal refusal of other kinds), the replay
+ * delivery partition, the ladder-bounded marker stack against the
+ * Fenwick profile on every ladder shape (unsorted, duplicate,
+ * zero-line and many-rung ladders), the compaction and parallel
+ * paths, the kind-scoped profile against the same stream of the
+ * all-streams one (and its fatal refusal of other kinds), the replay
  * layer's MrcMode plumbing (stack / oracle / verify) with its
- * documented stack-vs-oracle divergence bound, and the knee finder's
- * "no knee within ladder" semantics.
+ * documented stack-vs-oracle divergence bound and the attach path's
+ * agreement with it, and the knee finder's "no knee within ladder"
+ * semantics.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <memory>
 #include <vector>
 
 #include "base/rng.hh"
 #include "sim/footprint.hh"
 #include "sim/stack_distance.hh"
 #include "tracefile/replay.hh"
+#include "tracefile/shm_ring.hh"
 #include "tracefile/trace_writer.hh"
 
 namespace wcrt {
@@ -147,22 +154,30 @@ const uint32_t kEquivalenceKb[] = {16, 64, 256};
 void
 expectMatchesFullyAssoc(const std::vector<MicroOp> &ops)
 {
+    const std::vector<uint32_t> ladder(std::begin(kEquivalenceKb),
+                                       std::end(kEquivalenceKb));
     for (size_t block : kBlockSizes) {
         SCOPED_TRACE("block " + std::to_string(block));
         StackDistanceProfile profile;
         feedBlocked(profile, ops, block);
-        for (uint32_t kb : kEquivalenceKb) {
+        std::vector<std::vector<double>> ladder_ratios;
+        for (SweepKind kind : kSweepKinds) {
+            LadderStackProfile marker(kind, ladder);
+            feedBlocked(marker, ops, block);
+            ladder_ratios.push_back(marker.missRatios());
+        }
+        for (size_t j = 0; j < ladder.size(); ++j) {
+            uint32_t kb = ladder[j];
             SCOPED_TRACE(std::to_string(kb) + " KB");
             auto oracle = fullyAssocRatios(ops, kb, block);
             // Bit-exact: both sides compute misses/accesses in the
             // same integer spaces before one double division.
-            EXPECT_EQ(profile.missRatios(SweepKind::Instruction,
-                                         {kb})[0],
-                      oracle[0]);
-            EXPECT_EQ(profile.missRatios(SweepKind::Data, {kb})[0],
-                      oracle[1]);
-            EXPECT_EQ(profile.missRatios(SweepKind::Unified, {kb})[0],
-                      oracle[2]);
+            for (size_t k = 0; k < 3; ++k) {
+                SCOPED_TRACE(toString(kSweepKinds[k]));
+                EXPECT_EQ(profile.missRatios(kSweepKinds[k], {kb})[0],
+                          oracle[k]);
+                EXPECT_EQ(ladder_ratios[k][j], oracle[k]);
+            }
         }
     }
 }
@@ -337,6 +352,118 @@ TEST(StackDistance, UnrecordedKindIsFatal)
     EXPECT_DEATH(scoped.distinctLines(SweepKind::Instruction), "instr");
 }
 
+/**
+ * The ladders the marker stack is held to the Fenwick oracle on, with
+ * the line size each is counted in.
+ */
+struct OracleLadder
+{
+    const char *name;
+    std::vector<uint32_t> sizesKb;
+    uint32_t lineBytes = 64;
+};
+
+std::vector<OracleLadder>
+oracleLadders()
+{
+    // One rung per line up to 300 lines of 1 KB: the data streams
+    // reuse lines deeper than 255, past what a uint8_t band can hold.
+    std::vector<uint32_t> many;
+    for (uint32_t kb = 1; kb <= 300; ++kb)
+        many.push_back(kb);
+    return {
+        {"paper", paperSweepSizesKb()},
+        {"non-power-of-two", {1, 3, 5, 100}},
+        {"unsorted with duplicates", {64, 4, 16, 4, 1024, 16, 2}},
+        // 1 KB of 4 KB lines holds no line: every access misses.
+        {"zero-line rung", {1}, 4096},
+        {"zero-line rung among others", {8, 1, 64, 1}, 4096},
+        {"single rung", {2}},
+        // The data streams touch far more than 4 KB, so most reuses
+        // land past the top rung.
+        {"working set past the top", {1, 2, 4}},
+        {"many rungs", many, 1024},
+    };
+}
+
+/**
+ * Everything the ladder profile reports must equal the Fenwick
+ * profile's on the same stream and ladder, bit for bit.
+ */
+void
+expectLadderMatchesFenwick(const LadderStackProfile &ladder,
+                           const StackDistanceProfile &fenwick,
+                           SweepKind kind, const OracleLadder &l)
+{
+    EXPECT_EQ(ladder.missRatios(), fenwick.missRatios(kind, l.sizesKb));
+    EXPECT_EQ(ladder.accesses(), fenwick.accesses(kind));
+    EXPECT_EQ(ladder.coldMisses(), fenwick.coldMisses(kind));
+    EXPECT_EQ(ladder.distinctLines(), fenwick.distinctLines(kind));
+    EXPECT_EQ(ladder.instructions(), fenwick.instructions());
+}
+
+TEST(LadderStack, MatchesFenwickProfileOnEveryLadder)
+{
+    for (bool streaming : {false, true}) {
+        SCOPED_TRACE(streaming ? "streaming" : "synthetic");
+        auto ops = streaming ? streamingStream(kStreamOps)
+                             : syntheticStream(kStreamOps);
+        for (const OracleLadder &l : oracleLadders()) {
+            SCOPED_TRACE(l.name);
+            for (SweepKind kind : kSweepKinds) {
+                SCOPED_TRACE(toString(kind));
+                StackDistanceProfile fenwick(kind, l.lineBytes);
+                feedPerOp(fenwick, ops);
+                LadderStackProfile per_op(kind, l.sizesKb, l.lineBytes);
+                feedPerOp(per_op, ops);
+                expectLadderMatchesFenwick(per_op, fenwick, kind, l);
+                for (size_t block : kBlockSizes) {
+                    SCOPED_TRACE("block " + std::to_string(block));
+                    LadderStackProfile batched(kind, l.sizesKb,
+                                               l.lineBytes);
+                    feedBlocked(batched, ops, block);
+                    expectLadderMatchesFenwick(batched, fenwick, kind, l);
+                }
+            }
+        }
+    }
+}
+
+TEST(LadderStack, ZeroLineRungMissesEverything)
+{
+    // `--sizes=1 --line=4096`: the rung holds no line, so even the
+    // distance-zero run tails miss, exactly as the Fenwick walk says.
+    LadderStackProfile profile(SweepKind::Instruction, {1, 8}, 4096);
+    feedBlocked(profile, syntheticStream(kStreamOps), 64);
+    auto ratios = profile.missRatios();
+    ASSERT_EQ(ratios.size(), 2u);
+    EXPECT_EQ(ratios[0], 1.0);
+    EXPECT_LT(ratios[1], 1.0);
+    // Nothing recorded: every rung reads 0, like the Fenwick profile.
+    LadderStackProfile empty(SweepKind::Data, {1, 16});
+    EXPECT_EQ(empty.missRatios(), (std::vector<double>{0.0, 0.0}));
+}
+
+TEST(LadderStack, CountsKnownBands)
+{
+    // Lines A B C A B with 1-line and 2-line rungs: each re-touch has
+    // 2 distinct lines above it, past both rungs, so only the 3-line
+    // rung (and the 16-line one) catches the two reuses.
+    LadderStackProfile profile(SweepKind::Instruction, {3, 2, 1, 16}, 1024);
+    auto touch = [&](uint64_t line) {
+        MicroOp op;
+        op.kind = OpKind::IntAlu;
+        op.pc = line * 1024;
+        profile.consume(op);
+    };
+    touch(1); touch(2); touch(3); touch(1); touch(2);
+    EXPECT_EQ(profile.coldMisses(), 3u);
+    EXPECT_EQ(profile.distinctLines(), 3u);
+    EXPECT_EQ(profile.accesses(), 5u);
+    EXPECT_EQ(profile.missRatios(),
+              (std::vector<double>{3.0 / 5.0, 1.0, 1.0, 3.0 / 5.0}));
+}
+
 TEST(LineRuns, SingleKindBuildMatchesThatStreamOnly)
 {
     auto ops = streamingStream(4096);
@@ -467,6 +594,34 @@ TEST(Mrc, ParallelReplayMatchesSerial)
         path, SweepKind::Instruction, sizes, MrcMode::Verify, 4);
     EXPECT_EQ(pooled.ratios, serial.ratios);
     EXPECT_EQ(pooled.oracleRatios, serial.oracleRatios);
+    fs::remove(path);
+}
+
+TEST(Mrc, AttachedStreamMatchesReplayedFile)
+{
+    // `trace_tool attach --mrc` replays a drained ring's bytes through
+    // replayStackMrc; the same bytes as a file through
+    // replaySweepLadder must give the == curve, on every stream, and
+    // both must equal the Fenwick oracle's.
+    std::string path = writeTrace("attach", streamingStream(kStreamOps));
+    auto bytes = std::make_shared<std::vector<uint8_t>>();
+    {
+        std::ifstream in(path, std::ios::binary);
+        bytes->assign(std::istreambuf_iterator<char>(in),
+                      std::istreambuf_iterator<char>());
+    }
+    auto sizes = paperSweepSizesKb();
+    for (SweepKind kind : kSweepKinds) {
+        SCOPED_TRACE(toString(kind));
+        TraceReader reader(std::make_unique<ShmSource>(bytes), "shm:t");
+        auto attached = replayStackMrc(reader, kind, sizes);
+        MrcResult file = replaySweepLadder(path, kind, sizes,
+                                           MrcMode::StackDistance, 1);
+        EXPECT_EQ(attached, file.ratios);
+        StackDistanceProfile fenwick(kind);
+        TraceReader(path).replayInto(fenwick);
+        EXPECT_EQ(attached, fenwick.missRatios(kind, sizes));
+    }
     fs::remove(path);
 }
 
